@@ -15,6 +15,7 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -80,13 +81,9 @@ def _parse_diag(text: str) -> DiagonalScaling:
             values.append(complex(literal))
         except ValueError as exc:
             raise FormatError(f"cannot parse diagonal entry {part!r}") from exc
+        if not cmath.isfinite(values[-1]):
+            raise FormatError(f"diagonal entry {part!r} is not finite")
     return DiagonalScaling(np.array(values))
-
-
-def _pair(value: complex) -> list[float] | float:
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +253,7 @@ def _demo_order2_diagonalization() -> tuple[dict, int, str]:
             "order": 3,
             "diagonal_tensor": _tensor_entries(diag),
             "witness_sigma": list(sw.sigma.images),
-            "witness_d": [_pair(v) for v in sw.d.values],
+            "witness_d": [tio._encode_scalar(v) for v in sw.d.values],
             "transformed": _tensor_entries(transformed),
             "transformed_is_diagonal": bool(is_diagonal(transformed)),
         },

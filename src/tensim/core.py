@@ -36,7 +36,8 @@ class Tensor:
     __slots__ = ("_data",)
 
     def __init__(self, data, entry_limit: int = DEFAULT_ENTRY_LIMIT):
-        arr = np.asarray(data, dtype=np.complex128)
+        # one owned copy, so that no caller can mutate the entries afterwards
+        arr = np.array(data, dtype=np.complex128, order="C")
         if arr.ndim == 0:
             raise ShapeError("a tensor needs at least one index (order >= 1)")
         n = arr.shape[0]
@@ -48,7 +49,6 @@ class Tensor:
             raise EntryLimitError(
                 f"{arr.size} entries exceed the dense storage limit of {entry_limit}"
             )
-        arr = np.array(arr, dtype=np.complex128, order="C", copy=True)
         arr.setflags(write=False)
         self._data = arr
 

@@ -8,13 +8,18 @@ multiplicative system on the diagonal entries is solvable:
     for every nonzero position t of B, with j = sigma^{-1}(t):
         b[t] = a[j] * d_{j_1}^(1-m) * d_{j_2} * ... * d_{j_m}
 
-Taking the entry ratio ``b[t] / a[j]`` turns each position into one monomial
-constraint ``prod_j d_j^(e_j) = ratio`` whose integer exponents sum to zero
-(the source of the global-scalar gauge freedom).  The solver eliminates the
-exponent vectors over the integers, tracking the right-hand sides
-multiplicatively (log-magnitude plus angle), back-substitutes with principal
-roots, and then verifies the candidate by full reconstruction.  The
-verification step, not the solve, is the acceptance authority.
+With ``x = log d`` each nonzero is one row of ``E x = log(b[t] / a[j])``
+modulo ``2*pi*i``.  The integer exponent matrix ``E`` has rows summing to
+zero (a global scalar is a gauge freedom) and depends only on the support
+of ``A``, not on ``sigma``.  So :func:`decide_similar` builds it once and
+then solves each candidate ``sigma`` with a few matrix-vector products:
+``log|d|`` by real least squares, and the phases by interpolating a set
+``S`` of independent rows, rounding every row to whole turns once per coset
+of the row lattice of ``S`` in that of ``E``, and fitting least squares to
+the wrapped phases.  ``S`` and the cosets come from exact integer arithmetic
+on the exponents alone; no floating-point value passes through it.  A
+candidate is accepted only if it rebuilds every nonzero of ``B`` within the
+relative tolerance: that test, not the solve, is the acceptance authority.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -30,26 +35,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import Tensor, is_diagonal, max_abs_diff, nnz, zero_pattern
+from .core import Tensor, is_diagonal, nnz, zero_pattern
 from .errors import OrderError, SearchLimitError, ShapeError
-from .similarity import (
-    DiagonalScaling,
-    Permutation,
-    StructuredWitness,
-    diagonal_transform,
-    permutation_transform,
-)
+from .similarity import DiagonalScaling, Permutation, StructuredWitness
 
-#: Maximum elementwise reconstruction error accepted by the decision, as a
-#: multiple of max(1, |B|_inf).
+#: Largest relative error of a rebuilt nonzero of ``B`` that the decision
+#: accepts.
 DECISION_TOL = 1e-8
 
-#: Zero rows of the eliminated constraint system must be this close to the
-#: trivial relation; the final reconstruction check is the real authority.
-_CONSISTENCY_TOL = 1e-6
-
 _HASH_MAX_DIM = 8
-_TRIANGULAR_MAX_DIM = 10
 
 
 # ---------------------------------------------------------------------------
@@ -137,132 +131,174 @@ def pattern_permutations(za: Tensor, zb: Tensor) -> Iterator[Permutation]:
 
 
 # ---------------------------------------------------------------------------
-# The multiplicative scaling system
+# The scaling solve
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ScalingConstraint:
-    """One monomial constraint ``prod_j d_j^(exponents[j]) = ratio``.
+def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of the integer matrix ``m`` (overwritten) by
+    unimodular row operations, and its pivot columns among the first ``ncols``.
 
-    The ratio is carried as ``(log_magnitude, angle)`` so that integer row
-    operations stay exact in the exponents and additive on the right-hand
-    side.  ``angle`` is meaningful modulo ``2*pi``.
+    Each pivot is reached by Euclid's algorithm down its column.  The entries
+    become Python integers before a product could leave int64.
     """
-
-    exponents: list[int]
-    log_magnitude: float
-    angle: float
-
-
-class ScalingConstraintSystem:
-    """The constraint system tying two pattern-matched tensors' entries
-    to the diagonal scaling unknowns (one unknown per index label of ``A``)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.constraints: list[ScalingConstraint] = []
-
-    def add(self, exponents: list[int], ratio: complex) -> None:
-        if sum(exponents) != 0:
-            raise AssertionError(
-                f"constraint exponents must sum to zero (gauge), got {exponents}"
-            )
-        self.constraints.append(
-            ScalingConstraint(exponents, math.log(abs(ratio)), math.atan2(ratio.imag, ratio.real))
-        )
-
-    @classmethod
-    def assemble(
-        cls, a: Tensor, b: Tensor, sigma: Permutation
-    ) -> "ScalingConstraintSystem | None":
-        """Build the system for ``B = R_sigma^T (D^(1-m) A D) R_sigma``.
-
-        Returns ``None`` when the zero patterns do not actually correspond
-        under ``sigma`` (no system exists).
-        """
-        m, n = a.order, a.dim
-        inv = sigma.inverse().zero_based()
-        pos_b = np.argwhere(b.data != 0)
-        if pos_b.shape[0] != int(np.count_nonzero(a.data)):
-            return None
-        system = cls(n)
-        for t in pos_b:
-            j = tuple(int(inv[c]) for c in t)
-            a_val = complex(a.data[j])
-            if a_val == 0:
-                return None
-            exps = [0] * n
-            exps[j[0]] += 1 - m
-            for c in j[1:]:
-                exps[c] += 1
-            system.add(exps, complex(b.data[tuple(int(c) for c in t)]) / a_val)
-        return system
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
-def _combine(
-    s: int, row_a: ScalingConstraint, t: int, row_b: ScalingConstraint
-) -> ScalingConstraint:
-    exps = [s * ea + t * eb for ea, eb in zip(row_a.exponents, row_b.exponents)]
-    return ScalingConstraint(
-        exps,
-        s * row_a.log_magnitude + t * row_b.log_magnitude,
-        s * row_a.angle + t * row_b.angle,
-    )
-
-
-def _wrapped_angle(angle: float) -> float:
-    """Representative of ``angle`` modulo ``2*pi`` in ``(-pi, pi]``."""
-    w = math.remainder(angle, 2.0 * math.pi)
-    return w
-
-
-def _eliminate(
-    system: ScalingConstraintSystem, consistency_tol: float
-) -> dict[int, ScalingConstraint] | None:
-    """Integer echelon form of the exponent rows with exact rhs tracking.
-
-    Returns the pivot rows keyed by pivot column, or ``None`` when a row
-    reduces to the zero vector with a right-hand side detectably away from 1
-    (the system has no solution).
-    """
-    basis: dict[int, ScalingConstraint] = {}
-    for row in system.constraints:
-        row = ScalingConstraint(list(row.exponents), row.log_magnitude, row.angle)
+    ncols = m.shape[1] if ncols is None else ncols
+    pivots: list[int] = []
+    c = 0
+    while len(pivots) < m.shape[0]:
+        top = len(pivots)
+        ahead = np.flatnonzero(m[top:, c:ncols].any(axis=0))
+        if ahead.size == 0:
+            break
+        c += int(ahead[0])
         while True:
-            pivot = next((j for j, e in enumerate(row.exponents) if e != 0), None)
-            if pivot is None:
-                if abs(row.log_magnitude) > consistency_tol:
-                    return None
-                if abs(_wrapped_angle(row.angle)) > consistency_tol:
-                    return None
+            rows = top + np.flatnonzero(m[top:, c])
+            p = rows[np.argmin(np.abs(m[rows, c]))]
+            m[[top, p]] = m[[p, top]]
+            rest = top + 1 + np.flatnonzero(m[top + 1 :, c])
+            if rest.size == 0:
                 break
-            if pivot not in basis:
-                basis[pivot] = row
-                break
-            base = basis[pivot]
-            a, b = base.exponents[pivot], row.exponents[pivot]
-            g, x, y = _ext_gcd(a, b)
-            new_base = _combine(x, base, y, row)
-            new_row = _combine(a // g, row, -(b // g), base)
-            basis[pivot] = new_base
-            row = new_row
-    return basis
+            m[rest, c:] -= (m[rest, c] // m[top, c])[:, None] * m[top, c:]
+            if m.dtype != object and np.abs(m[rest, c:]).max() >= 2**31:
+                m = m.astype(object)
+        pivots.append(c)
+        c += 1
+    return m, pivots
+
+
+def _diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(s, cols)`` for an integer ``r x n`` matrix ``h`` of rank ``r``:
+    ``cols`` is unimodular and ``h @ cols == u @ [diag(s) | 0]`` for some
+    unimodular ``u``.  Column and row echelon passes alternate until the
+    leading block is diagonal; only the column operations are recorded."""
+    r, n = h.shape
+    cols = np.eye(n, dtype=np.int64)
+    while True:
+        g, _ = _echelon(np.hstack([h.T, cols.T]), r)
+        h, cols = g[:, :r].T, g[:, r:].T
+        if not np.tril(h, -1).any():
+            return np.abs(np.diagonal(h)), cols
+        h, _ = _echelon(h)
+
+
+class _ScalingSolve:
+    """The part of the scaling solve that depends only on the support of ``A``.
+
+    Row ``i`` of the exponent matrix ``E`` is the net exponent vector of
+    ``A``'s ``i``-th nonzero ``j``: ``1 - m`` at label ``j_1`` and one more
+    at each of ``j_2, ..., j_m``; it is held as the multi-indices and the
+    slot weights.  A permutation ``sigma`` then asks for ``x = log d`` with
+    ``E x = log(b[sigma(j)] / a[j])`` modulo ``2*pi*i`` on every row.
+
+    The build does exact integer work on the exponents only:
+
+    * ``S``, the first linearly independent rows of ``E`` taken in order of
+      size, and the pivot columns ``P`` of their echelon form.  Labels outside
+      ``P`` are the gauge: their ``d`` is fixed to 1.
+    * The cosets.  The phases of the rows of ``S`` fix those of every row
+      only up to the finite group ``L(E) / L(S)``, where ``L`` is the
+      integer lattice the rows span; a diagonal form of ``S`` lists one
+      shift of the phases per element.
+    """
+
+    def __init__(self, a: Tensor):
+        m, n = a.order, a.dim
+        nz = a.data != 0
+        self.n = n
+        self.j = np.argwhere(nz)
+        self.a_vals = a.data[nz]
+        self.w = np.array([1 - m] + [1] * (m - 1))
+        # a row is fixed by its head and the multiset of its tail labels; its
+        # L1 size is twice the number of tail labels other than the head.
+        # Small rows first: they tend to span the whole row lattice, which
+        # keeps the coset list at one element.
+        tails = np.sort(self.j[:, 1:], axis=1)
+        keys = np.ravel_multi_index((self.j[:, 0], *tails.T), a.shape)
+        _, first = np.unique(keys, return_index=True)
+        size = (tails[first] != self.j[first, :1]).sum(axis=1)
+        candidates = first[np.argsort(size, kind="stable")]
+        _, picked = _echelon(self._rows(candidates).T)
+        self.s_rows = candidates[picked]
+        e_s = self._rows(self.s_rows)
+        h, self.p = _echelon(e_s.copy())
+        gram = sum(
+            wi * wk * np.bincount(self.j[:, i] * n + self.j[:, k], minlength=n * n)
+            for i, wi in enumerate(self.w)
+            for k, wk in enumerate(self.w)
+        ).reshape(n, n)
+        self.gram_inv = np.linalg.inv(gram[np.ix_(self.p, self.p)])
+        self.s_inv = np.linalg.inv(e_s[:, self.p])
+        self.shifts = self._coset_shifts(*_diagonalize(h))
+
+    def _rows(self, nonzeros: np.ndarray) -> np.ndarray:
+        """The rows of ``E`` for the given nonzeros, as an integer matrix in
+        Fortran order (the row selection works on its transpose)."""
+        e = np.zeros((len(nonzeros), self.n), dtype=np.int64, order="F")
+        rows = np.arange(len(nonzeros))
+        for slot, weight in enumerate(self.w):
+            e[rows, self.j[nonzeros, slot]] += weight
+        return e
+
+    def _coset_shifts(self, s: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+        """One shift of the phases ``x / (2*pi*i)`` per coset of ``L(S)`` in
+        ``L(E)``, given ``S @ cols = u @ [diag(s) | 0]``.  Every row ``e`` of
+        ``E`` has integer coordinates ``c = e @ cols``, and ``L(S)`` holds
+        the rows with ``s[i] | c[i]``, so only the coordinates ``q`` with
+        ``s > 1`` tell cosets apart.  The shift ``cols[:, q] @ (k / s)``
+        turns row ``e`` by ``sum(c[q] * k / s)``; shifts that turn every
+        row alike modulo 1 are one coset."""
+        q = np.flatnonzero(s > 1)
+        if not q.size:
+            return [np.zeros(len(cols))]
+        s = s[q].astype(object)
+        lcm = math.lcm(*s)
+        residues = (cols[:, q][self.j] * self.w[:, None]).sum(axis=1) % s
+        gens = np.array(sorted({tuple(c) for c in residues.tolist()}), dtype=object)
+
+        def pairing(k):
+            return tuple(gens @ (k * (lcm // s)) % lcm)
+
+        zero = np.zeros(q.size, dtype=object)
+        reps = {pairing(zero): zero}
+        frontier = [zero]
+        for k in frontier:
+            for i in range(q.size):
+                step = k.copy()
+                step[i] = (step[i] + 1) % s[i]
+                key = pairing(step)
+                if key not in reps:
+                    reps[key] = step
+                    frontier.append(step)
+        basis = cols[:, q].astype(np.float64)
+        return [basis @ (k / s).astype(np.float64) for k in reps.values()]
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """``E @ x``."""
+        return x[self.j] @ self.w
+
+    def _fit(self, v: np.ndarray) -> np.ndarray:
+        """Least-squares ``x`` with ``E x = v``, zero off the pivot labels."""
+        x = np.zeros(self.n)
+        et_v = np.bincount(self.j.ravel(), (v[:, None] * self.w).ravel(), self.n)
+        x[self.p] = self.gram_inv @ et_v[self.p]
+        return x
+
+    def solve(self, b: Tensor, sigma: Permutation, rtol: float) -> DiagonalScaling | None:
+        b_vals = b.data[tuple(sigma.zero_based()[self.j].T)]
+        if b_vals.size != np.count_nonzero(b.data) or not b_vals.all():
+            return None
+        ratio = b_vals / self.a_vals
+        log_mag = self._fit(np.log(np.abs(ratio)))
+        turns = np.angle(ratio) / (2.0 * np.pi)
+        base = np.zeros(self.n)
+        base[self.p] = self.s_inv @ turns[self.s_rows]
+        for shift in self.shifts:
+            wraps = np.rint(self._apply(base + shift) - turns)
+            x = log_mag + 2j * np.pi * self._fit(turns + wraps)
+            rebuilt = self.a_vals * np.exp(self._apply(x))
+            if np.all(np.abs(rebuilt - b_vals) <= rtol * np.abs(b_vals)):
+                return DiagonalScaling(np.exp(x))
+        return None
 
 
 def solve_diagonal(
@@ -270,12 +306,12 @@ def solve_diagonal(
 ) -> DiagonalScaling | None:
     """Find ``d`` with ``B = R_sigma^T (D^(1-m) A D) R_sigma`` or ``None``.
 
-    Unknowns not pinned by any constraint (one per connected component of
-    the constraint graph, thanks to the zero-sum gauge) are set to 1; an
-    empty system therefore returns the identity scaling.  The candidate is
-    accepted only if full reconstruction matches ``b`` within ``rtol``
-    relative error on every nonzero entry, which also absorbs the branch
-    ambiguity of the principal roots taken during back-substitution.
+    The zero patterns must correspond under ``sigma``, and ``d`` must rebuild
+    every nonzero of ``b`` within relative error ``rtol``.  The equations fix
+    ``d`` up to the gauge only: a label whose column of the exponent matrix
+    is a combination of the columns of lower labels gets ``d = 1``.  That
+    includes every label in no nonzero of ``a`` and the highest label of
+    each connected component, so an empty system gives the identity.
     """
     if a.order < 3:
         raise OrderError("diagonal solve applies to order >= 3")
@@ -283,38 +319,18 @@ def solve_diagonal(
         raise ShapeError("tensors must share order and dimension")
     if sigma.n != a.dim:
         raise ShapeError("permutation size does not match tensor dimension")
-    system = ScalingConstraintSystem.assemble(a, b, sigma)
-    if system is None:
-        return None
-    basis = _eliminate(system, _CONSISTENCY_TOL)
-    if basis is None:
-        return None
-    e = np.zeros(a.dim, dtype=np.complex128)
-    for j in sorted(basis, reverse=True):
-        row = basis[j]
-        rest = sum(row.exponents[k] * e[k] for k in range(j + 1, a.dim) if row.exponents[k])
-        rhs = complex(row.log_magnitude, _wrapped_angle(row.angle)) - rest
-        e[j] = rhs / row.exponents[j]
-    scaling = DiagonalScaling(np.exp(e))
-    reconstructed = permutation_transform(diagonal_transform(a, scaling), sigma.inverse())
-    nz = b.data != 0
-    if not np.array_equal(reconstructed.data != 0, nz):
-        return None
-    if nz.any():
-        rel = np.abs(reconstructed.data[nz] - b.data[nz]) / np.abs(b.data[nz])
-        if float(np.max(rel)) > rtol:
-            return None
-    return scaling
+    return _ScalingSolve(a).solve(b, sigma, rtol)
 
 
 def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> StructuredWitness | None:
     """Decide similarity of two order ``m >= 3`` tensors.
 
-    Returns a structured witness whose transform reproduces ``b`` within
-    ``rtol`` (times ``max(1, |B|_inf)`` elementwise), or ``None``.  The
-    search enumerates pattern-matching permutations in lexicographic order
-    and returns the first that also admits a diagonal scaling, so the result
-    is deterministic.  Inputs must carry exact zeros.
+    Returns a structured witness whose transform reproduces every nonzero of
+    ``b`` within relative error ``rtol`` (so every entry within
+    ``rtol * max(1, |B|_inf)``), or ``None``.  The search enumerates
+    pattern-matching permutations in lexicographic order and returns the
+    first that also admits a diagonal scaling (see :func:`solve_diagonal`),
+    so the result is deterministic.  Inputs must carry exact zeros.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")
@@ -323,16 +339,12 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     za, zb = zero_pattern(a), zero_pattern(b)
     if nnz(za) != nnz(zb):
         return None
-    scale = max(1.0, float(np.max(np.abs(b.data))))
+    scaling = _ScalingSolve(a)
     for pi in pattern_permutations(za, zb):
         sigma = pi.inverse()
-        scaling = solve_diagonal(a, b, sigma, rtol)
-        if scaling is None:
-            continue
-        witness = StructuredWitness(sigma, scaling, a.order)
-        reconstructed = permutation_transform(diagonal_transform(a, scaling), pi)
-        if max_abs_diff(reconstructed, b) <= rtol * scale:
-            return witness
+        d = scaling.solve(b, sigma, rtol)
+        if d is not None:
+            return StructuredWitness(sigma, d, a.order)
     return None
 
 
@@ -356,8 +368,6 @@ def triangularizable_pattern(a: Tensor) -> Permutation | None:
     if a.order < 3:
         raise OrderError("triangular tensors are defined for order >= 3")
     n = a.dim
-    if n > _TRIANGULAR_MAX_DIM:
-        raise SearchLimitError(f"exhaustive search refused for dim > {_TRIANGULAR_MAX_DIM}")
     preds: list[set[int]] = [set() for _ in range(n)]
     for t in np.argwhere(a.data != 0):
         head = int(t[0])
@@ -383,9 +393,10 @@ def triangularizable_pattern(a: Tensor) -> Permutation | None:
 class InvariantReport:
     """Similarity-invariant summary of a tensor.
 
-    Two similar tensors of order ``m >= 3`` produce equal reports.  Fields
-    that would require an infeasible search are ``None`` with the matching
-    ``*_omitted`` flag set.
+    Two similar tensors of order ``m >= 3`` produce equal reports.
+    ``triangularizable`` is ``None`` below order 3, where it is undefined;
+    the canonical hash needs a search over all ``n!`` relabelings, so above
+    dimension 8 it is ``None`` with ``canonical_hash_omitted`` set.
     """
 
     order: int
@@ -393,7 +404,6 @@ class InvariantReport:
     nnz: int
     is_diagonal: bool
     triangularizable: bool | None
-    triangularizable_omitted: bool
     canonical_hash: str | None
     canonical_hash_omitted: bool
 
@@ -404,7 +414,6 @@ class InvariantReport:
             "nnz": self.nnz,
             "is_diagonal": self.is_diagonal,
             "triangularizable": self.triangularizable,
-            "triangularizable_omitted": self.triangularizable_omitted,
             "canonical_hash": self.canonical_hash,
             "canonical_hash_omitted": self.canonical_hash_omitted,
         }
@@ -432,23 +441,13 @@ def similarity_invariants(a: Tensor) -> InvariantReport:
     """Report of quantities preserved by every similarity (order ``m >= 3``):
     nonzero count, pattern class (as a canonical hash), diagonality, and
     whether any relabeling of the pattern is upper triangular."""
-    tri: bool | None = None
-    tri_omitted = True
-    if a.order >= 3 and a.dim <= _TRIANGULAR_MAX_DIM:
-        tri = triangularizable_pattern(a) is not None
-        tri_omitted = False
-    chash: str | None = None
-    hash_omitted = True
-    if a.dim <= _HASH_MAX_DIM:
-        chash = canonical_pattern_hash(a)
-        hash_omitted = False
+    chash = canonical_pattern_hash(a) if a.dim <= _HASH_MAX_DIM else None
     return InvariantReport(
         order=a.order,
         dim=a.dim,
         nnz=nnz(a),
         is_diagonal=is_diagonal(a) if a.order >= 2 else False,
-        triangularizable=tri,
-        triangularizable_omitted=tri_omitted,
+        triangularizable=triangularizable_pattern(a) is not None if a.order >= 3 else None,
         canonical_hash=chash,
-        canonical_hash_omitted=hash_omitted,
+        canonical_hash_omitted=chash is None,
     )

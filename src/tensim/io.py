@@ -17,6 +17,7 @@ tensor payloads; structured witness files are
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,16 +34,19 @@ def _encode_scalar(value: complex):
     return [value.real, value.imag]
 
 
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _decode_scalar(payload, where: str) -> complex:
-    if isinstance(payload, (int, float)) and not isinstance(payload, bool):
+    """A number or ``[re, im]``; NaN and infinities are rejected."""
+    if _is_finite_number(payload):
         return complex(payload)
-    if (
-        isinstance(payload, list)
-        and len(payload) == 2
-        and all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in payload)
-    ):
+    if isinstance(payload, list) and len(payload) == 2 and all(map(_is_finite_number, payload)):
         return complex(payload[0], payload[1])
-    raise FormatError(f"{where}: scalar must be a number or [re, im], got {payload!r}")
+    raise FormatError(
+        f"{where}: scalar must be a finite number or [re, im], got {payload!r}"
+    )
 
 
 def _encode_nested(data: np.ndarray):
@@ -116,12 +120,15 @@ def tensor_from_dict(obj) -> Tensor:
     raise FormatError(f"unknown tensor format {fmt!r}")
 
 
-def read_tensor(path) -> Tensor:
+def _read_json(path):
     try:
-        obj = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return tensor_from_dict(obj)
+
+
+def read_tensor(path) -> Tensor:
+    return tensor_from_dict(_read_json(path))
 
 
 def write_tensor(t: Tensor, path, format: str = "dense") -> None:
@@ -154,11 +161,7 @@ def witness_from_dict(obj) -> Witness:
 
 
 def read_witness(path) -> Witness:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return witness_from_dict(obj)
+    return witness_from_dict(_read_json(path))
 
 
 def write_witness(w: Witness, path) -> None:
@@ -191,11 +194,7 @@ def structured_witness_from_dict(obj) -> StructuredWitness:
 
 
 def read_structured_witness(path) -> StructuredWitness:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return structured_witness_from_dict(obj)
+    return structured_witness_from_dict(_read_json(path))
 
 
 def write_structured_witness(s: StructuredWitness, path) -> None:

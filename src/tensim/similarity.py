@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, max_abs_diff, unit_tensor
+from .core import Tensor, majorization_matrix, max_abs_diff, unit_tensor
 from .errors import OrderError, ShapeError, WitnessError
 from .product import general_product, left_matrix_product, right_matrix_product
 
@@ -296,7 +296,7 @@ def witness_structure_report(w: Witness, tol: float = STRUCTURAL_TOL) -> Witness
     tail_max = float(np.max(np.abs(off))) if off.size else 0.0
 
     maj = np.max(
-        np.abs(w.p.data @ _majorization(image) - np.eye(n, dtype=np.complex128))
+        np.abs(w.p.data @ majorization_matrix(image).data - np.eye(n, dtype=np.complex128))
     )
     return WitnessStructureReport(
         m=m,
@@ -309,11 +309,6 @@ def witness_structure_report(w: Witness, tol: float = STRUCTURAL_TOL) -> Witness
         majorization_residual=float(maj),
         majorization_ok=float(maj) <= tol,
     )
-
-
-def _majorization(a: Tensor) -> np.ndarray:
-    j = np.arange(a.dim)
-    return a.data[(slice(None),) + (j,) * (a.order - 1)]
 
 
 # ---------------------------------------------------------------------------

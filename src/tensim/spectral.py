@@ -45,7 +45,6 @@ class CharPoly:
     """Polynomial in one variable, coefficients lowest degree first."""
 
     coeffs: tuple[complex, ...]
-    normalized: bool = False
     #: radius of the sampling circle used to interpolate the coefficients
     #: (None when the polynomial was not produced by interpolation)
     sample_radius: float | None = field(default=None, compare=False)
@@ -59,27 +58,6 @@ class CharPoly:
         for c in reversed(self.coeffs):
             acc = acc * lam + c
         return acc
-
-    def normalized_leading(self) -> "CharPoly":
-        """Scale so the leading (highest-degree) coefficient is 1, when nonzero."""
-        lead = self.coeffs[-1]
-        if lead == 0:
-            return self
-        return CharPoly(tuple(c / lead for c in self.coeffs), normalized=True)
-
-    def comparison_vector(self) -> np.ndarray:
-        """Coefficients scaled by the largest magnitude among them.
-
-        Robust against leading-coefficient cancellation, so two polynomials
-        that agree up to a constant factor compare near-equal.
-        """
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        scale = np.max(np.abs(arr))
-        if scale == 0:
-            return arr
-        # fix the overall phase by the largest coefficient, then rescale
-        pivot = int(np.argmax(np.abs(arr)))
-        return arr / arr[pivot]
 
 
 def _binary_form_coeffs(a: Tensor) -> np.ndarray:

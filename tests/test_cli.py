@@ -133,6 +133,12 @@ class TestTransformCommand:
         code, _, _ = run_cli(["transform", str(tmp_path / "a.json"), "--diag", "2,oops"])
         assert code == 2
 
+    def test_non_finite_diag_entry(self, tmp_path):
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        code, _, err = run_cli(["transform", str(tmp_path / "a.json"), "--diag", "2,nan"])
+        assert code == 2
+        assert "finite" in err
+
 
 class TestWitnessCommands:
     def write_pair(self, tmp_path):
@@ -201,6 +207,18 @@ class TestDecideCommand:
         code, out, _ = run_cli(["decide", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
         assert code == 1
         assert json.loads(out) == {"similar": False}
+
+    def test_non_finite_entry_is_usage_error(self, tmp_path):
+        # a NaN entry once made a tensor "not similar" to itself (exit 1)
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"order": 3, "dim": 2, "format": "sparse", "entries": '
+            '[{"idx": [1, 1, 1], "val": NaN}, {"idx": [1, 2, 2], "val": 1.5}]}'
+        )
+        code, out, err = run_cli(["decide", str(path), str(path)])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
     def test_witness_file_written(self, tmp_path):
         write_tensor(unit_tensor(3, 2), tmp_path / "a.json")

@@ -7,7 +7,6 @@ from tensim import (
     DiagonalScaling,
     OrderError,
     Permutation,
-    SearchLimitError,
     ShapeError,
     StructuredWitness,
     Tensor,
@@ -27,7 +26,6 @@ from tensim import (
     unit_tensor,
     zero_pattern,
 )
-from tensim.decision import ScalingConstraintSystem
 from tensim.generate import (
     random_structured_witness,
     random_tensor,
@@ -148,19 +146,37 @@ def structured_diag(a, d):
     return diagonal_transform(a, d)
 
 
-class TestConstraintSystem:
-    def test_gauge_sum_asserted(self):
-        system = ScalingConstraintSystem(2)
-        with pytest.raises(AssertionError):
-            system.add([1, 0], 1.0 + 0j)
+def seeded_forward_pair(seed, m, n, density):
+    rng = np.random.default_rng(seed)
+    a = random_tensor(rng, m, n, density=density)
+    return a, clean(structured_transform(a, random_structured_witness(rng, m, n)))
 
-    def test_assembly_exponents(self):
-        a = sparse(3, 2, {(1, 2, 2): 5})
-        b = sparse(3, 2, {(1, 2, 2): 11.25})
-        system = ScalingConstraintSystem.assemble(a, b, Permutation.identity(2))
-        assert len(system.constraints) == 1
-        assert system.constraints[0].exponents == [-2, 2]
-        assert sum(system.constraints[0].exponents) == 0
+
+class TestScalingRegressions:
+    """Forward pairs that an elimination carrying float right-hand sides
+    through integer row operations decided "not similar"."""
+
+    @pytest.mark.parametrize(
+        "m, n, density, seed",
+        [(3, 30, 0.05, 0), (3, 40, 0.05, 0), (3, 60, 0.02, 0), (3, 20, 0.02, 44)],
+    )
+    def test_forward_pair_decided_similar(self, m, n, density, seed):
+        a, b = seeded_forward_pair(seed, m, n, density)
+        w = decide_similar(a, b)
+        assert w is not None
+        scale = max(1.0, float(np.max(np.abs(b.data))))
+        assert max_abs_diff(structured_transform(a, w), b) <= 1e-8 * scale
+
+    def test_phase_coset_case(self):
+        # the rows (-2, 2) and (-3, 3) span Z(-1, 1) together, neither alone:
+        # the phase of d2/d1 is fixed only by combining the two entries
+        a = sparse(4, 2, {(1, 1, 2, 2): 1, (1, 2, 2, 2): 1})
+        d = DiagonalScaling([1.0, np.exp(0.9j * np.pi)])
+        b = structured_transform(a, StructuredWitness(Permutation.identity(2), d, 4))
+        got = solve_diagonal(a, b, Permutation.identity(2))
+        assert got is not None
+        rebuilt = structured_transform(a, StructuredWitness(Permutation.identity(2), got, 4))
+        assert max_abs_diff(rebuilt, b) < 1e-12
 
 
 class TestDecideSimilar:
@@ -299,9 +315,23 @@ class TestTriangularizable:
                 count += 1
         assert count >= 5
 
-    def test_dim_limit(self):
-        with pytest.raises(SearchLimitError):
-            triangularizable_pattern(Tensor(np.zeros((11,) * 3)))
+    @pytest.mark.parametrize("n", [11, 60])
+    def test_large_dim_certificates(self, n):
+        from tensim import is_upper_triangular
+
+        rng = np.random.default_rng(n)
+        data = np.zeros((n,) * 3)
+        pos = rng.integers(n, size=(4 * n, 3))
+        data[tuple(pos[pos[:, 0] <= pos[:, 1:].min(axis=1)].T)] = 1.0
+        for i in range(n - 1):
+            data[i, i + 1, i + 1] = 1.0  # a chain through every label
+        relabel = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+        a = permutation_transform(Tensor(data), relabel)
+        sigma = triangularizable_pattern(a)
+        assert sigma is not None
+        assert is_upper_triangular(permutation_transform(zero_pattern(a), sigma))
+        data[n - 1, 0, 0] = 1.0  # closes the chain into a cycle
+        assert triangularizable_pattern(permutation_transform(Tensor(data), relabel)) is None
 
     def test_rejects_order_two(self):
         with pytest.raises(OrderError):
@@ -336,10 +366,13 @@ class TestSimilarityInvariants:
         assert report.canonical_hash is None
         assert report.canonical_hash_omitted
 
-    def test_triangular_omitted_for_large_dim(self):
-        report = similarity_invariants(Tensor(np.zeros((11,) * 3)))
-        assert report.triangularizable is None
-        assert report.triangularizable_omitted
+    def test_triangular_reported_for_large_dim(self):
+        data = np.zeros((11,) * 3)
+        data[10, 0, 0] = data[0, 10, 10] = 1.0
+        assert similarity_invariants(Tensor(np.zeros((11,) * 3))).triangularizable is True
+        report = similarity_invariants(Tensor(data))
+        assert report.triangularizable is False
+        assert "triangularizable_omitted" not in report.to_dict()
 
     def test_canonical_hash_matches_relabeling(self):
         rng = np.random.default_rng(10)

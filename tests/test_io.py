@@ -100,6 +100,24 @@ class TestTensorValidation:
         with pytest.raises(FormatError):
             tensor_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "val", [float("nan"), float("inf"), -float("inf"), [1.0, float("nan")], [float("inf"), 0.0]]
+    )
+    def test_non_finite_scalar(self, val):
+        doc = {"order": 3, "dim": 2, "format": "sparse", "entries": [{"idx": [1, 1, 1], "val": val}]}
+        with pytest.raises(FormatError, match="finite"):
+            tensor_from_dict(doc)
+        doc = self.base()
+        doc["entries"] = [[val, 0], [0, 1]]
+        with pytest.raises(FormatError, match="finite"):
+            tensor_from_dict(doc)
+
+    def test_non_finite_json_file(self, tmp_path):
+        path = tmp_path / "inf.json"
+        path.write_text('{"m": 3, "sigma": [1, 2], "d": [[1.0, 0.0], [Infinity, 0.0]]}')
+        with pytest.raises(FormatError, match="finite"):
+            read_structured_witness(path)
+
     def test_duplicate_sparse_index(self):
         doc = {
             "order": 2,
