@@ -36,8 +36,7 @@ class Tensor:
     __slots__ = ("_data",)
 
     def __init__(self, data, entry_limit: int = DEFAULT_ENTRY_LIMIT):
-        # one owned copy, so that no caller can mutate the entries afterwards
-        arr = np.array(data, dtype=np.complex128, order="C")
+        arr = np.asarray(data, dtype=np.complex128, order="C")
         if arr.ndim == 0:
             raise ShapeError("a tensor needs at least one index (order >= 1)")
         n = arr.shape[0]
@@ -49,6 +48,10 @@ class Tensor:
             raise EntryLimitError(
                 f"{arr.size} entries exceed the dense storage limit of {entry_limit}"
             )
+        if arr is data or arr.base is not None:
+            # the caller's own array or a view of one: own the entries, so
+            # that no caller can mutate them afterwards
+            arr = arr.copy()
         arr.setflags(write=False)
         self._data = arr
 

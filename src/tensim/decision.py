@@ -13,13 +13,14 @@ modulo ``2*pi*i``.  The integer exponent matrix ``E`` has rows summing to
 zero (a global scalar is a gauge freedom) and depends only on the support
 of ``A``, not on ``sigma``.  So :func:`decide_similar` builds it once and
 then solves each candidate ``sigma`` with a few matrix-vector products:
-``log|d|`` by real least squares, and the phases by interpolating a set
-``S`` of independent rows, rounding every row to whole turns once per coset
-of the row lattice of ``S`` in that of ``E``, and fitting least squares to
-the wrapped phases.  ``S`` and the cosets come from exact integer arithmetic
-on the exponents alone; no floating-point value passes through it.  A
-candidate is accepted only if it rebuilds every nonzero of ``B`` within the
-relative tolerance: that test, not the solve, is the acceptance authority.
+``log|d|`` by real least squares, and the phases by interpolating them
+through a basis of the integer lattice spanned by the rows of ``E``, each
+basis row a known integer combination of rows of ``E``, then rounding every
+row to whole turns and fitting least squares to the unwrapped phases.  The
+basis comes from exact integer arithmetic on the exponents alone; no
+floating-point value passes through it.  A candidate is accepted only if it
+rebuilds every nonzero of ``B`` within the relative tolerance: that test,
+not the solve, is the acceptance authority.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -28,7 +29,6 @@ Inputs are assumed to carry exact zeros; clean floating-point noise first
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from itertools import permutations as _all_permutations
 from typing import Iterator
@@ -166,19 +166,16 @@ def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[
     return m, pivots
 
 
-def _diagonalize(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(s, cols)`` for an integer ``r x n`` matrix ``h`` of rank ``r``:
-    ``cols`` is unimodular and ``h @ cols == u @ [diag(s) | 0]`` for some
-    unimodular ``u``.  Column and row echelon passes alternate until the
-    leading block is diagonal; only the column operations are recorded."""
-    r, n = h.shape
-    cols = np.eye(n, dtype=np.int64)
-    while True:
-        g, _ = _echelon(np.hstack([h.T, cols.T]), r)
-        h, cols = g[:, :r].T, g[:, r:].T
-        if not np.tril(h, -1).any():
-            return np.abs(np.diagonal(h)), cols
-        h, _ = _echelon(h)
+def _reduce(h: np.ndarray, pivots: list[int], rows: np.ndarray) -> np.ndarray:
+    """``rows`` less integer multiples of the rows of the echelon form ``h``
+    that leave each pivot column a remainder smaller than its pivot.  A row
+    comes out zero iff it lies in the integer lattice spanned by ``h``."""
+    rows = rows.astype(h.dtype)
+    for i, c in enumerate(pivots):
+        rows[:, c:] -= (rows[:, c] // h[i, c])[:, None] * h[i, c:]
+        if rows.dtype != object and np.abs(rows[:, c:]).max(initial=0) >= 2**31:
+            rows = rows.astype(object)
+    return rows
 
 
 class _ScalingSolve:
@@ -190,15 +187,15 @@ class _ScalingSolve:
     slot weights.  A permutation ``sigma`` then asks for ``x = log d`` with
     ``E x = log(b[sigma(j)] / a[j])`` modulo ``2*pi*i`` on every row.
 
-    The build does exact integer work on the exponents only:
-
-    * ``S``, the first linearly independent rows of ``E`` taken in order of
-      size, and the pivot columns ``P`` of their echelon form.  Labels outside
-      ``P`` are the gauge: their ``d`` is fixed to 1.
-    * The cosets.  The phases of the rows of ``S`` fix those of every row
-      only up to the finite group ``L(E) / L(S)``, where ``L`` is the
-      integer lattice the rows span; a diagonal form of ``S`` lists one
-      shift of the phases per element.
+    The build does exact integer work on the exponents only.  It picks rows
+    ``G`` of ``E`` that span the same integer lattice as all of ``E``: the
+    first linearly independent rows in order of size, then, while some row
+    of ``E`` is not an integer combination of ``G``, the first such row.
+    An echelon form ``H = U G`` of ``G`` is a lattice basis whose rows are
+    known integer combinations of rows of ``E``, so the phases of ``H x``
+    follow from those of ``E x``, and ``H x`` in turn fixes the phase of
+    every row of ``E`` modulo ``2*pi``.  The pivot columns ``P`` of ``H``
+    are the labels solved for; the others are the gauge, with ``d = 1``.
     """
 
     def __init__(self, a: Tensor):
@@ -211,24 +208,33 @@ class _ScalingSolve:
         # a row is fixed by its head and the multiset of its tail labels; its
         # L1 size is twice the number of tail labels other than the head.
         # Small rows first: they tend to span the whole row lattice, which
-        # keeps the coset list at one element.
+        # keeps G at one row per pivot.
         tails = np.sort(self.j[:, 1:], axis=1)
         keys = np.ravel_multi_index((self.j[:, 0], *tails.T), a.shape)
         _, first = np.unique(keys, return_index=True)
         size = (tails[first] != self.j[first, :1]).sum(axis=1)
         candidates = first[np.argsort(size, kind="stable")]
         _, picked = _echelon(self._rows(candidates).T)
-        self.s_rows = candidates[picked]
-        e_s = self._rows(self.s_rows)
-        h, self.p = _echelon(e_s.copy())
+        self.g_rows = candidates[picked]
+        outside = np.delete(candidates, picked)
+        while True:
+            eye = np.eye(len(self.g_rows), dtype=np.int64)
+            hu, self.p = _echelon(np.hstack([self._rows(self.g_rows), eye]), n)
+            h = hu[: len(self.p), :n]
+            if np.all(np.abs(h[np.arange(len(self.p)), self.p]) == 1):
+                break  # unit pivots: L(G) holds every integer point of its span
+            outside = outside[_reduce(h, self.p, self._rows(outside)).any(axis=1)]
+            if not outside.size:
+                break
+            self.g_rows = np.append(self.g_rows, outside[0])
+        u = hu[: len(self.p), n:]
+        self.interp = np.linalg.solve(h[:, self.p].astype(float), u.astype(float))
         gram = sum(
             wi * wk * np.bincount(self.j[:, i] * n + self.j[:, k], minlength=n * n)
             for i, wi in enumerate(self.w)
             for k, wk in enumerate(self.w)
         ).reshape(n, n)
         self.gram_inv = np.linalg.inv(gram[np.ix_(self.p, self.p)])
-        self.s_inv = np.linalg.inv(e_s[:, self.p])
-        self.shifts = self._coset_shifts(*_diagonalize(h))
 
     def _rows(self, nonzeros: np.ndarray) -> np.ndarray:
         """The rows of ``E`` for the given nonzeros, as an integer matrix in
@@ -238,39 +244,6 @@ class _ScalingSolve:
         for slot, weight in enumerate(self.w):
             e[rows, self.j[nonzeros, slot]] += weight
         return e
-
-    def _coset_shifts(self, s: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
-        """One shift of the phases ``x / (2*pi*i)`` per coset of ``L(S)`` in
-        ``L(E)``, given ``S @ cols = u @ [diag(s) | 0]``.  Every row ``e`` of
-        ``E`` has integer coordinates ``c = e @ cols``, and ``L(S)`` holds
-        the rows with ``s[i] | c[i]``, so only the coordinates ``q`` with
-        ``s > 1`` tell cosets apart.  The shift ``cols[:, q] @ (k / s)``
-        turns row ``e`` by ``sum(c[q] * k / s)``; shifts that turn every
-        row alike modulo 1 are one coset."""
-        q = np.flatnonzero(s > 1)
-        if not q.size:
-            return [np.zeros(len(cols))]
-        s = s[q].astype(object)
-        lcm = math.lcm(*s)
-        residues = (cols[:, q][self.j] * self.w[:, None]).sum(axis=1) % s
-        gens = np.array(sorted({tuple(c) for c in residues.tolist()}), dtype=object)
-
-        def pairing(k):
-            return tuple(gens @ (k * (lcm // s)) % lcm)
-
-        zero = np.zeros(q.size, dtype=object)
-        reps = {pairing(zero): zero}
-        frontier = [zero]
-        for k in frontier:
-            for i in range(q.size):
-                step = k.copy()
-                step[i] = (step[i] + 1) % s[i]
-                key = pairing(step)
-                if key not in reps:
-                    reps[key] = step
-                    frontier.append(step)
-        basis = cols[:, q].astype(np.float64)
-        return [basis @ (k / s).astype(np.float64) for k in reps.values()]
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """``E @ x``."""
@@ -291,13 +264,12 @@ class _ScalingSolve:
         log_mag = self._fit(np.log(np.abs(ratio)))
         turns = np.angle(ratio) / (2.0 * np.pi)
         base = np.zeros(self.n)
-        base[self.p] = self.s_inv @ turns[self.s_rows]
-        for shift in self.shifts:
-            wraps = np.rint(self._apply(base + shift) - turns)
-            x = log_mag + 2j * np.pi * self._fit(turns + wraps)
-            rebuilt = self.a_vals * np.exp(self._apply(x))
-            if np.all(np.abs(rebuilt - b_vals) <= rtol * np.abs(b_vals)):
-                return DiagonalScaling(np.exp(x))
+        base[self.p] = self.interp @ turns[self.g_rows]
+        wraps = np.rint(self._apply(base) - turns)
+        x = log_mag + 2j * np.pi * self._fit(turns + wraps)
+        rebuilt = self.a_vals * np.exp(self._apply(x))
+        if np.all(np.abs(rebuilt - b_vals) <= rtol * np.abs(b_vals)):
+            return DiagonalScaling(np.exp(x))
         return None
 
 

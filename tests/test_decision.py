@@ -178,6 +178,25 @@ class TestScalingRegressions:
         rebuilt = structured_transform(a, StructuredWitness(Permutation.identity(2), got, 4))
         assert max_abs_diff(rebuilt, b) < 1e-12
 
+    def test_large_index_support(self):
+        # the size-2 rows 2(e_j - e_1) come first and are independent, but
+        # span a sublattice of index 2^38 in the row lattice: the rows of the
+        # path (2; 1, 3), (2; 3, 4), ..., (2; 39, 40) are needed to close it
+        n = 40
+        entries = {(1, j, j): 1 for j in range(2, n + 1)}
+        entries[(2, 1, 3)] = 1
+        entries.update({(2, j, j + 1): 1 for j in range(3, n)})
+        a = sparse(3, n, entries)
+        rng = np.random.default_rng(0)
+        d = DiagonalScaling(np.exp(rng.uniform(-1, 1, n) + 1j * rng.uniform(-np.pi, np.pi, n)))
+        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
+        b = structured_transform(a, StructuredWitness(sigma, d, 3))
+        got = solve_diagonal(a, b, sigma)
+        assert got is not None
+        rebuilt = structured_transform(a, StructuredWitness(sigma, got, 3))
+        assert max_abs_diff(rebuilt, b) <= 1e-8 * max(1.0, float(np.max(np.abs(b.data))))
+        assert decide_similar(a, a) is not None
+
 
 class TestDecideSimilar:
     def test_self_similarity(self):
