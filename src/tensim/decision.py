@@ -166,16 +166,16 @@ def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[
     return m, pivots
 
 
-def _reduce(h: np.ndarray, pivots: list[int], rows: np.ndarray) -> np.ndarray:
-    """``rows`` less integer multiples of the rows of the echelon form ``h``
-    that leave each pivot column a remainder smaller than its pivot.  A row
-    comes out zero iff it lies in the integer lattice spanned by ``h``."""
+def _outside(h: np.ndarray, pivots: list[int], rows: np.ndarray) -> np.ndarray:
+    """Which of the integer ``rows`` lie outside the lattice spanned by the
+    echelon form ``h``: those that integer multiples of ``h``'s rows, each
+    leaving a remainder smaller than its pivot, do not reduce to zero."""
     rows = rows.astype(h.dtype)
     for i, c in enumerate(pivots):
         rows[:, c:] -= (rows[:, c] // h[i, c])[:, None] * h[i, c:]
         if rows.dtype != object and np.abs(rows[:, c:]).max(initial=0) >= 2**31:
             rows = rows.astype(object)
-    return rows
+    return rows.any(axis=1)
 
 
 class _ScalingSolve:
@@ -223,7 +223,7 @@ class _ScalingSolve:
             h = hu[: len(self.p), :n]
             if np.all(np.abs(h[np.arange(len(self.p)), self.p]) == 1):
                 break  # unit pivots: L(G) holds every integer point of its span
-            outside = outside[_reduce(h, self.p, self._rows(outside)).any(axis=1)]
+            outside = outside[_outside(h, self.p, self._rows(outside))]
             if not outside.size:
                 break
             self.g_rows = np.append(self.g_rows, outside[0])
