@@ -22,6 +22,14 @@ floating-point value passes through it.  A candidate is accepted only if it
 rebuilds every nonzero of ``B`` within the relative tolerance: that test,
 not the solve, is the acceptance authority.
 
+The candidates ``sigma`` come from a backtracking search over relabelings of
+the zero pattern that checks each search node incrementally, against only
+the nonzeros the newest label completes.  The search is also masked by
+values: a diagonal position has net exponent zero, so it is a fixed point
+of every scaling, and ``b[v..v]`` can only come from an ``a[w..w]`` equal
+to it within the acceptance tolerance.  Dense tensors, whose every
+relabeling matches the pattern, so cost one solve instead of ``n!``.
+
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
 """
@@ -51,80 +59,94 @@ _HASH_MAX_DIM = 8
 # ---------------------------------------------------------------------------
 
 
-def _nonzero_tuples(z: Tensor) -> list[tuple[int, ...]]:
-    return [tuple(int(c) for c in t) for t in np.argwhere(z.data != 0)]
-
-
 def _check_binary_pattern(z: Tensor, name: str) -> None:
     vals = z.data[z.data != 0]
     if vals.size and not np.all(vals == 1):
         raise ShapeError(f"{name} is not a 0/1 pattern tensor")
 
 
-def pattern_permutations(za: Tensor, zb: Tensor) -> Iterator[Permutation]:
+def pattern_permutations(
+    za: Tensor, zb: Tensor, *, allowed: np.ndarray | None = None
+) -> Iterator[Permutation]:
     """Yield every ``pi`` relabeling ``za`` onto ``zb``, i.e. with
     ``zb[t] == za[pi(t_1), ..., pi(t_m)]`` for all positions ``t``.
 
     Backtracks over partial assignments in lexicographic order of the image
     tuple, pruning candidates whose per-vertex statistics disagree: the
     number of nonzeros led by the vertex, and the number of nonzero positions
-    in which the vertex occurs among the trailing indices.
+    in which the vertex occurs among the trailing indices.  ``allowed``, a
+    boolean ``n x n`` mask, further restricts label ``v`` of ``zb`` (0-based)
+    to the labels ``w`` of ``za`` with ``allowed[v][w]``; the result is the
+    unmasked sequence with the excluded permutations dropped.
+
+    Each node of the search is checked incrementally.  Assigning ``pi(v) = w``
+    completes the nonzeros of ``zb`` whose largest label is ``v``, and each
+    must map onto a nonzero of ``za``; it completes the nonzeros of ``za``
+    that contain ``w`` and whose other labels are already images, and there
+    must be as many of those.  The parent node balanced the counts of all
+    earlier nonzeros, so the whole assigned prefix then maps onto exactly the
+    nonzeros of ``za`` among its images.
     """
     if za.shape != zb.shape:
         return
     _check_binary_pattern(za, "first pattern")
     _check_binary_pattern(zb, "second pattern")
-    nz_a = set(_nonzero_tuples(za))
-    nz_b = _nonzero_tuples(zb)
-    if len(nz_a) != len(nz_b):
+    ja, jb = np.argwhere(za.data != 0), np.argwhere(zb.data != 0)
+    if len(ja) != len(jb):
         return
     n = za.dim
 
-    def stats(tuples) -> tuple[list[int], list[int]]:
-        head = [0] * n
-        tail = [0] * n
-        for t in tuples:
-            head[t[0]] += 1
-            for v in set(t[1:]):
-                tail[v] += 1
-        return head, tail
+    def tail_counts(j: np.ndarray) -> np.ndarray:
+        """Per label, the nonzeros in which it occurs among the trailing indices."""
+        tails = np.sort(j[:, 1:], axis=1)
+        first = np.ones(tails.shape, dtype=bool)
+        first[:, 1:] = tails[:, 1:] != tails[:, :-1]
+        return np.bincount(tails[first], minlength=n)
 
-    head_a, tail_a = stats(nz_a)
-    head_b, tail_b = stats(nz_b)
-    candidates = [
-        [w for w in range(n) if head_a[w] == head_b[v] and tail_a[w] == tail_b[v]]
-        for v in range(n)
-    ]
-    if any(not c for c in candidates):
+    ok = np.bincount(jb[:, 0], minlength=n)[:, None] == np.bincount(ja[:, 0], minlength=n)
+    ok &= tail_counts(jb)[:, None] == tail_counts(ja)
+    if allowed is not None:
+        allowed = np.asarray(allowed, dtype=bool)
+        if allowed.shape != (n, n):
+            raise ShapeError(f"allowed mask must have shape ({n}, {n})")
+        ok &= allowed
+    if not ok.any(axis=1).all():
         return
+    candidates = [np.flatnonzero(row).tolist() for row in ok]
 
-    assign: list[int | None] = [None] * n  # 0-based image of each 0-based label
+    tuples_a = list(map(tuple, ja.tolist()))
+    nz_a = set(tuples_a)
+    closing_b: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for t in map(tuple, jb.tolist()):
+        closing_b[max(t)].append(t)
+    touching_a: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for t in tuples_a:
+        for c in set(t):
+            touching_a[c].append(t)
+
+    assign = [0] * n  # 0-based image of each 0-based label assigned so far
     used = [False] * n
+    # bound lookups for map(): half the time of generator expressions here
+    image_of, is_used = assign.__getitem__, used.__getitem__
 
-    def prefix_consistent(depth: int) -> bool:
-        assigned = set(range(depth + 1))
-        image = {assign[v] for v in assigned}
-        mapped = 0
-        for t in nz_b:
-            if all(c in assigned for c in t):
-                mapped += 1
-                if tuple(assign[c] for c in t) not in nz_a:
-                    return False
-        induced = sum(1 for t in nz_a if all(c in image for c in t))
-        return induced == mapped
+    def consistent(v: int, w: int) -> bool:
+        closed = closing_b[v]
+        for t in closed:
+            if tuple(map(image_of, t)) not in nz_a:
+                return False
+        return len(closed) == sum(all(map(is_used, t)) for t in touching_a[w])
 
     def extend(v: int) -> Iterator[Permutation]:
         if v == n:
-            yield Permutation(tuple(int(w) + 1 for w in assign))
+            yield Permutation(tuple(w + 1 for w in assign))
             return
         for w in candidates[v]:
             if used[w]:
                 continue
             assign[v] = w
             used[w] = True
-            if prefix_consistent(v):
+            if consistent(v, w):
                 yield from extend(v + 1)
-            assign[v] = None
             used[w] = False
 
     yield from extend(0)
@@ -303,6 +325,14 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     pattern-matching permutations in lexicographic order and returns the
     first that also admits a diagonal scaling (see :func:`solve_diagonal`),
     so the result is deterministic.  Inputs must carry exact zeros.
+
+    Label ``v`` of ``b`` may map only to labels ``w`` of ``a`` with
+    ``|b[v..v] - a[w..w]| <= 2 * rtol * |b[v..v]|`` (so a zero diagonal only
+    to a zero diagonal).  The mask loses no witness: the diagonal row of the
+    exponent matrix is zero, so the solve rebuilds ``a[w..w]`` up to a
+    rounding factor ``exp(+-ulp)``, and acceptance needs that within
+    ``rtol * |b[v..v]|``; the factor 2 absorbs the rounding.  The masked
+    permutations are skipped, and the solve still decides every other one.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")
@@ -311,8 +341,11 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     za, zb = zero_pattern(a), zero_pattern(b)
     if nnz(za) != nnz(zb):
         return None
+    diag = (np.arange(a.dim),) * a.order
+    a_diag, b_diag = a.data[diag], b.data[diag]
+    allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
     scaling = _ScalingSolve(a)
-    for pi in pattern_permutations(za, zb):
+    for pi in pattern_permutations(za, zb, allowed=allowed):
         sigma = pi.inverse()
         d = scaling.solve(b, sigma, rtol)
         if d is not None:

@@ -330,9 +330,10 @@ def diagonal_transform(a: Tensor, scaling: DiagonalScaling) -> Tensor:
 
         B[i_1, ..., i_m] = a[i_1, ..., i_m] * d_{i_1}^(1-m) * d_{i_2} ... d_{i_m}
 
-    Each entry's factor is assembled from the *net* integer exponent of every
-    diagonal value, so diagonal positions (net exponent zero) are exact fixed
-    points, and a uniform scaling vector acts as the exact identity.
+    The factor is ``d^(1-m)`` broadcast along the first slot times ``d``
+    broadcast along each other slot.  Diagonal positions (net exponent zero)
+    get the factor exactly 1, so they are exact fixed points, and a uniform
+    scaling vector acts as the exact identity.
     """
     if a.order < 2:
         raise OrderError("diagonal similarity needs order >= 2")
@@ -342,17 +343,11 @@ def diagonal_transform(a: Tensor, scaling: DiagonalScaling) -> Tensor:
     if bool(np.all(d == d[0])):
         # gauge: c*I scales every entry by c^(1-m) * c^(m-1) = 1
         return Tensor(a.data)
-    m, n = a.order, a.dim
-    g = np.indices(a.shape)
-    factor = np.ones(a.shape, dtype=np.complex128)
-    # power table per diagonal value: exponents range over [1-m, m-1]
-    exps = np.arange(1 - m, m)
-    for j in range(n):
-        net = (1 - m) * (g[0] == j).astype(np.int64)
-        for r in range(1, m):
-            net += g[r] == j
-        table = np.array([_int_pow(d[j : j + 1], int(e))[0] for e in exps])
-        factor *= table[net - (1 - m)]
+    m = a.order
+    factor = _int_pow(d, 1 - m).reshape((-1,) + (1,) * (m - 1))
+    for slot in range(1, m):
+        factor = factor * d.reshape((-1,) + (1,) * (m - 1 - slot))
+    factor[(np.arange(a.dim),) * m] = 1.0
     return Tensor(a.data * factor)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from tensim import (
     unit_tensor,
     zero_pattern,
 )
+from tensim import decision
+from tensim.decision import DECISION_TOL
 from tensim.generate import (
     random_structured_witness,
     random_tensor,
@@ -89,6 +92,52 @@ class TestPatternPermutations:
         a = sparse(3, 2, {(1, 2, 2): 5})
         with pytest.raises(ShapeError):
             list(pattern_permutations(a, a))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("kind", ["zero", "unit", "dense"])
+    def test_symmetric_patterns_match_brute_force(self, n, kind):
+        shape = (n,) * 3
+        z = {
+            "zero": Tensor(np.zeros(shape)),
+            "unit": zero_pattern(unit_tensor(3, n)),
+            "dense": Tensor(np.ones(shape)),
+        }[kind]
+        got = list(pattern_permutations(z, z))
+        assert got == brute_force_pattern_perms(z, z)
+        assert len(got) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_random_patterns_match_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.1, 0.3, 0.6):
+            za = zero_pattern(random_tensor(rng, 3, n, density=density))
+            images = tuple(int(v) + 1 for v in rng.permutation(n))
+            unrelated = zero_pattern(random_tensor(rng, 3, n, density=density))
+            for zb in (naive_relabel(za, images), unrelated):
+                assert list(pattern_permutations(za, zb)) == brute_force_pattern_perms(za, zb)
+
+    def test_allowed_mask_filters_in_order(self):
+        rng = np.random.default_rng(11)
+        cases = [zero_pattern(unit_tensor(3, 5)), zero_pattern(unit_tensor(4, 4))]
+        cases += [zero_pattern(random_tensor(rng, 3, 5, density=0.1)) for _ in range(4)]
+        for z in cases:
+            n = z.dim
+            images = tuple(int(v) + 1 for v in rng.permutation(n))
+            zb = naive_relabel(z, images)
+            unmasked = list(pattern_permutations(z, zb))
+            for _ in range(5):
+                allowed = rng.uniform(size=(n, n)) < 0.6
+                expected = [
+                    p for p in unmasked if all(allowed[v, w - 1] for v, w in enumerate(p.images))
+                ]
+                assert list(pattern_permutations(z, zb, allowed=allowed)) == expected
+                assert list(pattern_permutations(z, zb, allowed=allowed.tolist())) == expected
+            assert list(pattern_permutations(z, zb, allowed=np.ones((n, n), bool))) == unmasked
+
+    def test_allowed_mask_shape_checked(self):
+        z = zero_pattern(unit_tensor(3, 3))
+        with pytest.raises(ShapeError):
+            list(pattern_permutations(z, z, allowed=np.ones((3, 2), bool)))
 
 
 class TestSolveDiagonal:
@@ -196,6 +245,55 @@ class TestScalingRegressions:
         rebuilt = structured_transform(a, StructuredWitness(sigma, got, 3))
         assert max_abs_diff(rebuilt, b) <= 1e-8 * max(1.0, float(np.max(np.abs(b.data))))
         assert decide_similar(a, a) is not None
+
+
+def perturbed(b, position, factor):
+    data = b.data.copy()
+    data[position] *= factor
+    return Tensor(data)
+
+
+class TestSearchRegressions:
+    """Dense pairs, whose every permutation matches the zero pattern: a
+    search that does not look at values tries up to ``n!`` solves."""
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (4, 4)])
+    def test_one_solve_per_dense_decide(self, m, n, monkeypatch):
+        solves = []
+        solve = decision._ScalingSolve.solve
+
+        def counted(self, *args):
+            solves.append(args)
+            return solve(self, *args)
+
+        monkeypatch.setattr(decision._ScalingSolve, "solve", counted)
+        a, b = seeded_forward_pair(m * 10 + n, m, n, 1.0)
+        assert decide_similar(a, b) is not None
+        assert len(solves) == 1
+        solves.clear()
+        assert decide_similar(a, perturbed(b, (0,) * (m - 1) + (1,), 1.5)) is None
+        assert len(solves) == 1
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_dense_dim_8(self, m):
+        a, b = seeded_forward_pair(m, m, 8, 1.0)
+        w = decide_similar(a, b)
+        assert w is not None
+        scale = max(1.0, float(np.max(np.abs(b.data))))
+        assert max_abs_diff(structured_transform(a, w), b) <= 1e-8 * scale
+        assert decide_similar(a, perturbed(b, (1,) * (m - 1) + (0,), 1.5)) is None
+
+    def test_diagonal_mask_boundary(self):
+        # a diagonal entry is a fixed point of every scaling: within the
+        # acceptance tolerance the witness is unchanged, beyond it there is none
+        a, b = seeded_forward_pair(12, 3, 5, 1.0)
+        w = decide_similar(a, b)
+        assert w is not None
+        near = decide_similar(a, perturbed(b, (2, 2, 2), 1 + 0.5 * DECISION_TOL))
+        assert near is not None
+        assert near.sigma == w.sigma
+        assert np.allclose(near.d.values, w.d.values, rtol=1e-12, atol=0)
+        assert decide_similar(a, perturbed(b, (2, 2, 2), 1 + 4 * DECISION_TOL)) is None
 
 
 class TestDecideSimilar:
