@@ -27,8 +27,12 @@ the zero pattern that checks each search node incrementally, against only
 the nonzeros the newest label completes.  The search is also masked by
 values: a diagonal position has net exponent zero, so it is a fixed point
 of every scaling, and ``b[v..v]`` can only come from an ``a[w..w]`` equal
-to it within the acceptance tolerance.  Dense tensors, whose every
-relabeling matches the pattern, so cost one solve instead of ``n!``.
+to it within the acceptance tolerance (the mask is exact for tolerances well
+above ``1e-13``; below that, rounding of the rebuild can exceed the mask's
+margin).  Dense tensors whose diagonal entries are pairwise distinct beyond
+twice the tolerance so cost one solve instead of ``n!``; repeated diagonal
+values leave several candidates per label, and their search still grows
+with ``n!``.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -328,11 +332,14 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
 
     Label ``v`` of ``b`` may map only to labels ``w`` of ``a`` with
     ``|b[v..v] - a[w..w]| <= 2 * rtol * |b[v..v]|`` (so a zero diagonal only
-    to a zero diagonal).  The mask loses no witness: the diagonal row of the
-    exponent matrix is zero, so the solve rebuilds ``a[w..w]`` up to a
-    rounding factor ``exp(+-ulp)``, and acceptance needs that within
-    ``rtol * |b[v..v]|``; the factor 2 absorbs the rounding.  The masked
-    permutations are skipped, and the solve still decides every other one.
+    to a zero diagonal).  For ``rtol`` well above ``1e-13`` the mask loses no
+    witness: the diagonal row of the exponent matrix is zero, so the solve
+    rebuilds ``a[w..w]`` up to a rounding factor ``exp(r)``, ``|r|`` of
+    order ``m * ulp * |log d|`` (about ``1e-14``), and acceptance needs that
+    within ``rtol * |b[v..v]|``; the factor 2 absorbs the rounding.  At
+    smaller ``rtol`` the rounding can exceed that margin and the mask may
+    drop a permutation the rebuild would accept.  The masked permutations
+    are skipped, and the solve still decides every other one.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")

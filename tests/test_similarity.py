@@ -280,12 +280,18 @@ class TestDiagonalTransform:
 
     def test_matches_naive_closed_form(self):
         rng = np.random.default_rng(8)
+        a = random_tensor(rng, 3, 3)
+        d = random_diagonal(rng, 3)
+        assert max_abs_diff(diagonal_transform(a, d), naive_diagonal_transform(a, d.values)) < 1e-9
+
+    def test_matches_naive_closed_form_entrywise(self):
+        rng = np.random.default_rng(8)
         for m, n in [(3, 3), (2, 4), (4, 3), (5, 2)]:
             a = random_tensor(rng, m, n)
             d = random_diagonal(rng, n)
-            naive = naive_diagonal_transform(a, d.values)
-            scale = max(1.0, float(np.max(np.abs(naive.data))))
-            assert max_abs_diff(diagonal_transform(a, d), naive) < 1e-9 * scale
+            naive = naive_diagonal_transform(a, d.values).data
+            diff = np.abs(diagonal_transform(a, d).data - naive)
+            assert np.all(diff <= 1e-12 * np.abs(naive))
 
     def test_matches_product_route(self):
         rng = np.random.default_rng(9)
