@@ -32,7 +32,6 @@ from .decision import (
 from .errors import (
     FormatError,
     OrderError,
-    SearchLimitError,
     ShapeError,
     TensimError,
     UnsupportedDimensionError,
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         doc, code, summary = args.handler(args)
-    except (FormatError, ShapeError, OrderError, UnsupportedDimensionError, SearchLimitError) as exc:
+    except (FormatError, ShapeError, OrderError, UnsupportedDimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

@@ -166,11 +166,7 @@ def is_diagonal(a: Tensor) -> bool:
     """True iff only entries of the form ``(i, i, ..., i)`` are nonzero."""
     if a.order < 2:
         raise OrderError("diagonality needs order >= 2")
-    g = _index_grids(a.shape)
-    on_diag = np.ones(a.shape, dtype=bool)
-    for r in range(1, a.order):
-        on_diag &= g[r] == g[0]
-    return not np.any(a.data[~on_diag])
+    return int(np.count_nonzero(a.data[(np.arange(a.dim),) * a.order])) == nnz(a)
 
 
 def diagonal_tensor(order: int, values: Sequence[complex]) -> Tensor:

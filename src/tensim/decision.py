@@ -42,20 +42,17 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import permutations as _all_permutations
 from typing import Iterator
 
 import numpy as np
 
 from .core import Tensor, is_diagonal, nnz, zero_pattern
-from .errors import OrderError, SearchLimitError, ShapeError
+from .errors import OrderError, ShapeError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness
 
 #: Largest relative error of a rebuilt nonzero of ``B`` that the decision
 #: accepts.
 DECISION_TOL = 1e-8
-
-_HASH_MAX_DIM = 8
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +403,9 @@ class InvariantReport:
     """Similarity-invariant summary of a tensor.
 
     Two similar tensors of order ``m >= 3`` produce equal reports.
-    ``triangularizable`` is ``None`` below order 3, where it is undefined;
-    the canonical hash needs a search over all ``n!`` relabelings, so above
-    dimension 8 it is ``None`` with ``canonical_hash_omitted`` set.
+    ``triangularizable`` is ``None`` below order 3, where it is undefined.
+    ``canonical_hash`` is :func:`canonical_pattern_hash`, computed at every
+    dimension.
     """
 
     order: int
@@ -416,8 +413,7 @@ class InvariantReport:
     nnz: int
     is_diagonal: bool
     triangularizable: bool | None
-    canonical_hash: str | None
-    canonical_hash_omitted: bool
+    canonical_hash: str
 
     def to_dict(self) -> dict:
         return {
@@ -427,39 +423,159 @@ class InvariantReport:
             "is_diagonal": self.is_diagonal,
             "triangularizable": self.triangularizable,
             "canonical_hash": self.canonical_hash,
-            "canonical_hash_omitted": self.canonical_hash_omitted,
         }
 
 
 def canonical_pattern_hash(a: Tensor) -> str:
-    """Hash of the lexicographically minimal relabeling of ``Z(a)``.
+    """Hash of the canonical labelling of ``Z(a)``: equal for two tensors of
+    the same order and dimension iff their patterns are relabelings of each
+    other.  There is no dimension limit.
 
-    Minimizes the row-major 0/1 encoding over all permutations; equal for
-    any two tensors whose patterns are relabelings of each other.
+    The nonzero tuples form an ordered ``m``-uniform hypergraph on the labels,
+    and the canonical labelling is found by individualization-refinement
+    (McKay & Piperno 2014, "Practical graph isomorphism, II").  Refinement
+    splits each label's colour by the multiset of (slot, colours of the
+    whole tuple) over the nonzeros it occurs in, numbering the new colours in
+    sorted order of (old colour, multiset), until the colouring is stable
+    (colour refinement in the style of Weisfeiler & Leman 1968).  The search
+    splits the first non-singleton cell by trying each label in it, and
+    refines again.  At a leaf every label has its own colour, and the
+    certificate is the sorted list of relabeled nonzero tuples.  No step
+    depends on the labels themselves, so the smallest certificate over the
+    leaves is the same for every relabeling of the pattern, and it spells
+    out one relabeling of it.  The hash is the sha256 of the order, the
+    dimension and that certificate.
+
+    Children with equal subtrees are skipped: those in the orbit of a child
+    already tried under the automorphisms found that fix the node's
+    individualized labels.  A leaf whose certificate equals the first or the
+    best leaf's gives such an automorphism, and the search then returns to
+    where the two paths part.  Before a second child ``v`` is tried, the swap
+    of ``v`` with the first child ``u`` is checked; when it is an
+    automorphism, ``u`` and ``v`` are twins at every node, which keeps the
+    empty, dense and unit patterns at one leaf and ``n`` refinements.
     """
-    if a.dim > _HASH_MAX_DIM:
-        raise SearchLimitError(f"canonical hash refused for dim > {_HASH_MAX_DIM}")
-    pattern = (a.data != 0).astype(np.uint8)
-    best: bytes | None = None
-    for images in _all_permutations(range(a.dim)):
-        s0 = np.asarray(images, dtype=np.intp)
-        relabeled = pattern[np.ix_(*([s0] * a.order))].tobytes()
-        if best is None or relabeled < best:
-            best = relabeled
-    return hashlib.sha256(best).hexdigest()
+    m, n = a.order, a.dim
+    j = np.argwhere(a.data != 0)
+    labels = j.ravel()
+    slots = np.tile(np.arange(m), len(j))
+    span = m * n**m  # (colours of the tuple, slot) as one integer below this
+    # byte range of each label's occurrences once sorted by label
+    ends = (8 * np.cumsum(np.bincount(labels, minlength=n))).tolist()
+    starts = [0] + ends[:-1]
+
+    def relabeled(col: np.ndarray) -> np.ndarray:
+        """Row-major codes of the nonzero tuples with each label replaced by
+        its colour."""
+        return np.ravel_multi_index(tuple(col[j].T), (n,) * m)
+
+    def refine(col: np.ndarray) -> np.ndarray:
+        """The stable refinement of the colouring ``col`` (colours 0..c-1)."""
+        ncol = int(col.max()) + 1
+        while True:
+            occ = np.repeat(relabeled(col) * m, m) + slots
+            # big-endian bytes compare as the integers do
+            sig = (np.sort(labels * span + occ) % span).astype(">u8").tobytes()
+            head = col.astype(">u8")
+            words = [head[v].tobytes() + sig[starts[v] : ends[v]] for v in range(n)]
+            rank = {w: i for i, w in enumerate(sorted(set(words)))}
+            if len(rank) == ncol:
+                return col
+            col, ncol = np.array([rank[w] for w in words]), len(rank)
+
+    own = np.sort(relabeled(np.arange(n)))
+    first = best = None  # (certificate, labels in colour order, path)
+    automorphisms: list[np.ndarray] = []
+    twins = list(range(n))  # union-find of labels whose swap is an automorphism
+
+    def find(root: list[int], v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    def orbits(path: list[int]) -> list[int]:
+        """Orbit roots under the twin swaps and the automorphisms found
+        that fix every label of ``path``."""
+        root = [find(twins, v) for v in range(n)]
+        for g in automorphisms:
+            if all(g[v] == v for v in path):
+                for v, w in enumerate(g.tolist()):
+                    root[find(root, v)] = find(root, w)
+        return [find(root, v) for v in range(n)]
+
+    def branches(col: np.ndarray, x: int, path: list[int]) -> Iterator[int]:
+        """The labels of cell ``x`` to individualize below ``path``: one per
+        orbit of those tried so far."""
+        tried: list[int] = []
+        roots, seen = None, -1
+        for v in np.flatnonzero(col == x).tolist():
+            if tried:
+                if seen != len(automorphisms):
+                    roots, seen = orbits(path), len(automorphisms)
+                if any(find(twins, v) == find(twins, u) or roots[v] == roots[u] for u in tried):
+                    continue
+                # a swap of two labels outside the path fixes the path: when it
+                # is an automorphism, v's subtree is the image of u's
+                u, swap = tried[0], np.arange(n)
+                swap[[u, v]] = v, u
+                if np.array_equal(np.sort(relabeled(swap)), own):
+                    twins[find(twins, v)] = find(twins, u)
+                    continue
+            tried.append(v)
+            yield v
+
+    def leaf(col: np.ndarray, path: list[int]) -> int | None:
+        """Record a leaf; after an automorphism, the depth to go back to."""
+        nonlocal first, best
+        found = (np.sort(relabeled(col)).astype(">u8").tobytes(), np.argsort(col), path)
+        if first is None:
+            first = best = found
+            return None
+        for known in (first, best):
+            if found[0] == known[0]:
+                g = np.empty(n, dtype=np.intp)
+                g[known[1]] = found[1]
+                automorphisms.append(g)
+                return next(d for d, (u, v) in enumerate(zip(path, known[2])) if u != v)
+        if found[0] < best[0]:
+            best = found
+        return None
+
+    stack: list[tuple[np.ndarray, int, list[int], Iterator[int]]] = []  # one node per depth
+
+    def visit(col: np.ndarray, path: list[int]) -> None:
+        col = refine(col)
+        sizes = np.bincount(col)
+        if sizes.size < n:
+            x = int(np.flatnonzero(sizes > 1)[0])
+            stack.append((col, x, path, branches(col, x, path)))
+            return
+        back = leaf(col, path)
+        if back is not None:
+            del stack[back + 1 :]
+
+    visit(np.zeros(n, dtype=np.intp), [])
+    while stack:
+        col, x, path, todo = stack[-1]
+        v = next(todo, None)
+        if v is None:
+            stack.pop()
+            continue
+        child = col + (col > x) + (col == x)
+        child[v] = x
+        visit(child, path + [v])
+    return hashlib.sha256(np.array([m, n], dtype=">u8").tobytes() + best[0]).hexdigest()
 
 
 def similarity_invariants(a: Tensor) -> InvariantReport:
     """Report of quantities preserved by every similarity (order ``m >= 3``):
     nonzero count, pattern class (as a canonical hash), diagonality, and
     whether any relabeling of the pattern is upper triangular."""
-    chash = canonical_pattern_hash(a) if a.dim <= _HASH_MAX_DIM else None
     return InvariantReport(
         order=a.order,
         dim=a.dim,
         nnz=nnz(a),
         is_diagonal=is_diagonal(a) if a.order >= 2 else False,
         triangularizable=triangularizable_pattern(a) is not None if a.order >= 3 else None,
-        canonical_hash=chash,
-        canonical_hash_omitted=chash is None,
+        canonical_hash=canonical_pattern_hash(a),
     )

@@ -27,7 +27,3 @@ class FormatError(TensimError, ValueError):
 
 class UnsupportedDimensionError(TensimError, ValueError):
     """Spectral routines are restricted to dimension 2."""
-
-
-class SearchLimitError(TensimError, ValueError):
-    """Combinatorial search refused: dimension too large for exhaustion."""

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import product as _iter_product
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import Tensor
 from .errors import OrderError, ShapeError, UnsupportedDimensionError
@@ -317,6 +316,9 @@ def spectra_match(r1, r2, atol: float = ROOT_MATCH_TOL) -> bool:
     b = b[np.lexsort((b.imag, b.real))]
     if float(np.max(np.abs(a - b))) <= atol:
         return True
+    # imported here: scipy.optimize takes longer to import than all of tensim
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max()) <= atol

@@ -54,6 +54,17 @@ def naive_relabel(a: Tensor, images: tuple[int, ...]) -> Tensor:
     return Tensor(out)
 
 
+def brute_force_pattern_key(a: Tensor) -> bytes:
+    """Lexicographically smallest row-major 0/1 encoding of ``Z(a)`` over all
+    ``n!`` relabelings: equal for two tensors of one shape iff their patterns
+    are relabelings of each other."""
+    pattern = (a.data != 0).astype(np.uint8)
+    return min(
+        pattern[np.ix_(*([np.asarray(images)] * a.order))].tobytes()
+        for images in itertools.permutations(range(a.dim))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Brute-force similarity oracle
 # ---------------------------------------------------------------------------

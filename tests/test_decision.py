@@ -35,7 +35,7 @@ from tensim.generate import (
     random_unit_preserving_witness,
 )
 
-from reference import naive_relabel, oracle_similar
+from reference import brute_force_pattern_key, naive_relabel, oracle_similar
 
 
 def sparse(order, dim, entries):
@@ -43,6 +43,11 @@ def sparse(order, dim, entries):
     for idx, val in entries.items():
         data[tuple(i - 1 for i in idx)] = val
     return Tensor(data)
+
+
+def relabeled(a, perm):
+    """``a`` with every index ``i`` replaced by ``perm[i]`` (0-based)."""
+    return Tensor(a.data[np.ix_(*([perm] * a.order))])
 
 
 def brute_force_pattern_perms(za, zb):
@@ -478,10 +483,15 @@ class TestSimilarityInvariants:
         report = similarity_invariants(a)
         assert report.triangularizable is False
 
-    def test_hash_omitted_for_large_dim(self):
-        report = similarity_invariants(Tensor(np.zeros((9,) * 2)))
-        assert report.canonical_hash is None
-        assert report.canonical_hash_omitted
+    def test_hash_computed_at_large_dim(self):
+        for n in (9, 12):
+            report = similarity_invariants(Tensor(np.zeros((n,) * 2)))
+            assert len(report.canonical_hash) == 64
+            assert "canonical_hash_omitted" not in report.to_dict()
+        rng = np.random.default_rng(12)
+        a = random_tensor(rng, 3, 12, density=0.1)
+        b = relabeled(a, rng.permutation(12))
+        assert similarity_invariants(a) == similarity_invariants(b)
 
     def test_triangular_reported_for_large_dim(self):
         data = np.zeros((11,) * 3)
@@ -497,3 +507,69 @@ class TestSimilarityInvariants:
         images = tuple(int(v) + 1 for v in rng.permutation(4))
         b = naive_relabel(a, images)
         assert canonical_pattern_hash(a) == canonical_pattern_hash(b)
+
+
+def unit_pattern(m, n):
+    data = np.zeros((n,) * m)
+    data[(np.arange(n),) * m] = 1.0
+    return Tensor(data)
+
+
+def hashes_agree_with_oracle(a, b):
+    same_class = brute_force_pattern_key(a) == brute_force_pattern_key(b)
+    return (canonical_pattern_hash(a) == canonical_pattern_hash(b)) == same_class
+
+
+class TestCanonicalPatternHash:
+    def test_agrees_with_oracle_on_random_pairs(self):
+        rng = np.random.default_rng(21)
+        outcomes = set()
+        for m in (2, 3, 4):
+            for trial in range(45):
+                n = int(rng.integers(1, 7))
+                if trial % 3 == 2:  # few nonzeros, so unrelated patterns often match
+                    a, b = (
+                        Tensor((rng.uniform(size=(n,) * m) < 2.5 / n**m).astype(float))
+                        for _ in range(2)
+                    )
+                else:
+                    a = Tensor((rng.uniform(size=(n,) * m) < rng.uniform(0.05, 0.6)).astype(float))
+                    data = relabeled(a, rng.permutation(n)).data.copy()
+                    if trial % 3 == 1:  # toggle one entry of the relabeled copy
+                        idx = tuple(rng.integers(n, size=m))
+                        data[idx] = 1.0 - data[idx]
+                    b = Tensor(data)
+                assert hashes_agree_with_oracle(a, b), (m, n, trial)
+                outcomes.add(canonical_pattern_hash(a) == canonical_pattern_hash(b))
+        assert outcomes == {True, False}
+
+    def test_agrees_with_oracle_on_empty_dense_and_unit(self):
+        rng = np.random.default_rng(22)
+        for m in (2, 3, 4):
+            for n in range(1, 7):
+                patterns = [Tensor(np.zeros((n,) * m)), Tensor(np.ones((n,) * m)), unit_pattern(m, n)]
+                patterns += [relabeled(p, rng.permutation(n)) for p in patterns]
+                for a, b in itertools.combinations(patterns, 2):
+                    assert hashes_agree_with_oracle(a, b), (m, n)
+
+    def test_separates_what_colour_refinement_cannot(self):
+        # every label heads one (i, j, j) entry and ends one: colour refinement
+        # leaves all six labels in one cell for both patterns
+        two_triangles = sparse(3, 6, {(i + 1, j + 1, j + 1): 1 for i, j in
+                                      [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]})
+        hexagon = sparse(3, 6, {(i + 1, (i + 1) % 6 + 1, (i + 1) % 6 + 1): 1 for i in range(6)})
+        assert canonical_pattern_hash(two_triangles) != canonical_pattern_hash(hexagon)
+        assert hashes_agree_with_oracle(two_triangles, hexagon)
+
+    def test_invariant_under_relabeling_at_scale(self):
+        rng = np.random.default_rng(23)
+        for n, density in [(40, 0.05), (60, 0.02)]:
+            a = random_tensor(rng, 3, n, density=density)
+            b = relabeled(a, rng.permutation(n))
+            assert canonical_pattern_hash(a) == canonical_pattern_hash(b)
+
+    def test_shape_is_part_of_the_hash(self):
+        # equal n**m, so the parent's 0/1 encodings of the empty patterns coincided
+        assert canonical_pattern_hash(Tensor(np.zeros((2,) * 3))) != canonical_pattern_hash(
+            Tensor(np.zeros(8))
+        )

@@ -1,8 +1,13 @@
 import cmath
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensim
 from tensim import (
     CharPoly,
     OrderError,
@@ -189,3 +194,18 @@ class TestComparisonHelpers:
         a = [1.0 + 1e-9j, 1.0 - 1e-9j]
         b = [1.0 - 1e-9j, 1.0 + 1e-9j]
         assert spectra_match(a, b, atol=1e-6)
+
+    def test_spectra_match_pairs_across_a_sort_flip(self):
+        # the real parts tie within 1e-9, so the sort pairs 1+1j with 1-1j;
+        # only the optimal assignment finds the match
+        a = [1.0 + 1j, 1.0 + 1e-9 - 1j]
+        b = [1.0 + 1e-9 + 1j, 1.0 - 1j]
+        assert spectra_match(a, b, atol=1e-6)
+        assert not spectra_match(a, [1.0 + 1j, 1.0 + 1j], atol=1e-6)
+
+
+def test_import_leaves_scipy_unloaded():
+    env = {**os.environ, "PYTHONPATH": str(Path(tensim.__file__).parents[1])}
+    code = "import sys, tensim, tensim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
