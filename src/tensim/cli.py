@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import io as tio
-from .core import Tensor, is_diagonal, nnz, zero_pattern
+from .core import Tensor, is_diagonal, nnz
 from .decision import (
     DECISION_TOL,
     decide_similar,
@@ -268,20 +268,13 @@ def _demo_no_triangular_form() -> tuple[dict, int, str]:
     t = Tensor(data)
     certificate = []
     for images in ((1, 2), (2, 1)):
-        sigma = Permutation(images)
-        relabeled = permutation_transform(zero_pattern(t), sigma)
-        violation = None
-        for pos in np.argwhere(relabeled.data != 0):
-            head = int(pos[0])
-            if min(int(c) for c in pos[1:]) < head:
-                violation = [int(c) + 1 for c in pos]
-                break
+        relabeled = permutation_transform(t, Permutation(images))
+        nonzeros = (np.argwhere(relabeled.data != 0) + 1).tolist()
+        violation = next((pos for pos in nonzeros if min(pos[1:]) < pos[0]), None)
         certificate.append(
             {
                 "sigma": list(images),
-                "relabeled_nonzeros": [
-                    [int(c) + 1 for c in pos] for pos in np.argwhere(relabeled.data != 0)
-                ],
+                "relabeled_nonzeros": nonzeros,
                 "upper_triangular": violation is None,
                 "violating_position": violation,
             }

@@ -140,26 +140,20 @@ def clean(a: Tensor, eps: float = DEFAULT_CLEAN_EPS) -> Tensor:
     return Tensor(data)
 
 
-def _index_grids(shape: tuple[int, ...]) -> np.ndarray:
-    return np.indices(shape)
-
-
 def is_upper_triangular(a: Tensor) -> bool:
     """True iff every entry with ``min(i_2, ..., i_m) < i_1`` is zero."""
     if a.order < 2:
         raise OrderError("triangularity needs order >= 2")
-    g = _index_grids(a.shape)
-    tail_min = np.minimum.reduce(g[1:])
-    return not np.any(a.data[tail_min < g[0]])
+    j = np.argwhere(a.data != 0)
+    return not np.any(j[:, 1:].min(axis=1) < j[:, 0])
 
 
 def is_lower_triangular(a: Tensor) -> bool:
     """True iff every entry with ``max(i_2, ..., i_m) > i_1`` is zero."""
     if a.order < 2:
         raise OrderError("triangularity needs order >= 2")
-    g = _index_grids(a.shape)
-    tail_max = np.maximum.reduce(g[1:])
-    return not np.any(a.data[tail_max > g[0]])
+    j = np.argwhere(a.data != 0)
+    return not np.any(j[:, 1:].max(axis=1) > j[:, 0])
 
 
 def is_diagonal(a: Tensor) -> bool:

@@ -41,12 +41,12 @@ Inputs are assumed to carry exact zeros; clean floating-point noise first
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .core import Tensor, is_diagonal, nnz, zero_pattern
+from .core import Tensor, is_diagonal, nnz
 from .errors import OrderError, ShapeError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness
 
@@ -60,42 +60,35 @@ DECISION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
-def _check_binary_pattern(z: Tensor, name: str) -> None:
-    vals = z.data[z.data != 0]
-    if vals.size and not np.all(vals == 1):
-        raise ShapeError(f"{name} is not a 0/1 pattern tensor")
-
-
 def pattern_permutations(
-    za: Tensor, zb: Tensor, *, allowed: np.ndarray | None = None
+    a: Tensor, b: Tensor, *, allowed: np.ndarray | None = None
 ) -> Iterator[Permutation]:
-    """Yield every ``pi`` relabeling ``za`` onto ``zb``, i.e. with
-    ``zb[t] == za[pi(t_1), ..., pi(t_m)]`` for all positions ``t``.
+    """Yield every ``pi`` relabeling the zero pattern of ``a`` onto that of
+    ``b``: ``b[t] != 0`` iff ``a[pi(t_1), ..., pi(t_m)] != 0`` for every
+    position ``t``.  The patterns are read from the nonzero lists alone.
 
     Backtracks over partial assignments in lexicographic order of the image
     tuple, pruning candidates whose per-vertex statistics disagree: the
     number of nonzeros led by the vertex, and the number of nonzero positions
     in which the vertex occurs among the trailing indices.  ``allowed``, a
-    boolean ``n x n`` mask, further restricts label ``v`` of ``zb`` (0-based)
-    to the labels ``w`` of ``za`` with ``allowed[v][w]``; the result is the
+    boolean ``n x n`` mask, further restricts label ``v`` of ``b`` (0-based)
+    to the labels ``w`` of ``a`` with ``allowed[v][w]``; the result is the
     unmasked sequence with the excluded permutations dropped.
 
     Each node of the search is checked incrementally.  Assigning ``pi(v) = w``
-    completes the nonzeros of ``zb`` whose largest label is ``v``, and each
-    must map onto a nonzero of ``za``; it completes the nonzeros of ``za``
+    completes the nonzeros of ``b`` whose largest label is ``v``, and each
+    must map onto a nonzero of ``a``; it completes the nonzeros of ``a``
     that contain ``w`` and whose other labels are already images, and there
     must be as many of those.  The parent node balanced the counts of all
     earlier nonzeros, so the whole assigned prefix then maps onto exactly the
-    nonzeros of ``za`` among its images.
+    nonzeros of ``a`` among its images.
     """
-    if za.shape != zb.shape:
+    if a.shape != b.shape:
         return
-    _check_binary_pattern(za, "first pattern")
-    _check_binary_pattern(zb, "second pattern")
-    ja, jb = np.argwhere(za.data != 0), np.argwhere(zb.data != 0)
+    ja, jb = np.argwhere(a.data != 0), np.argwhere(b.data != 0)
     if len(ja) != len(jb):
         return
-    n = za.dim
+    n = a.dim
 
     def tail_counts(j: np.ndarray) -> np.ndarray:
         """Per label, the nonzeros in which it occurs among the trailing indices."""
@@ -322,8 +315,9 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
 
     Returns a structured witness whose transform reproduces every nonzero of
     ``b`` within relative error ``rtol`` (so every entry within
-    ``rtol * max(1, |B|_inf)``), or ``None``.  The search enumerates
-    pattern-matching permutations in lexicographic order and returns the
+    ``rtol * max(1, |B|_inf)``), or ``None``.  The search enumerates the
+    relabelings of the zero patterns, read from the nonzero lists
+    (:func:`pattern_permutations`), in lexicographic order and returns the
     first that also admits a diagonal scaling (see :func:`solve_diagonal`),
     so the result is deterministic.  Inputs must carry exact zeros.
 
@@ -342,14 +336,13 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
         raise ShapeError("tensors must share order and dimension")
     if a.order < 3:
         raise OrderError("the decision procedure applies to order >= 3")
-    za, zb = zero_pattern(a), zero_pattern(b)
-    if nnz(za) != nnz(zb):
+    if nnz(a) != nnz(b):
         return None
     diag = (np.arange(a.dim),) * a.order
     a_diag, b_diag = a.data[diag], b.data[diag]
     allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
     scaling = _ScalingSolve(a)
-    for pi in pattern_permutations(za, zb, allowed=allowed):
+    for pi in pattern_permutations(a, b, allowed=allowed):
         sigma = pi.inverse()
         d = scaling.solve(b, sigma, rtol)
         if d is not None:
@@ -378,10 +371,8 @@ def triangularizable_pattern(a: Tensor) -> Permutation | None:
         raise OrderError("triangular tensors are defined for order >= 3")
     n = a.dim
     preds: list[set[int]] = [set() for _ in range(n)]
-    for t in np.argwhere(a.data != 0):
-        head = int(t[0])
-        for c in t[1:]:
-            c = int(c)
+    for head, *tail in np.argwhere(a.data != 0).tolist():
+        for c in tail:
             if c != head:
                 preds[c].add(head)
     placed: list[int] = []
@@ -416,14 +407,7 @@ class InvariantReport:
     canonical_hash: str
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "dim": self.dim,
-            "nnz": self.nnz,
-            "is_diagonal": self.is_diagonal,
-            "triangularizable": self.triangularizable,
-            "canonical_hash": self.canonical_hash,
-        }
+        return asdict(self)
 
 
 def canonical_pattern_hash(a: Tensor) -> str:

@@ -288,12 +288,9 @@ def witness_structure_report(w: Witness, tol: float = STRUCTURAL_TOL) -> Witness
     image = general_product(ident, w.q)
     unit_dev = max_abs_diff(left_matrix_product(w.p, image), ident)
 
-    g = np.indices(image.shape)
-    tail_constant = np.ones(image.shape, dtype=bool)
-    for r in range(2, m):
-        tail_constant &= g[r] == g[1]
-    off = image.data[~tail_constant]
-    tail_max = float(np.max(np.abs(off))) if off.size else 0.0
+    off = image.data.copy()
+    off[(slice(None),) + (np.arange(n),) * (m - 1)] = 0  # positions (i, j, ..., j)
+    tail_max = float(np.max(np.abs(off)))
 
     maj = np.max(
         np.abs(w.p.data @ majorization_matrix(image).data - np.eye(n, dtype=np.complex128))

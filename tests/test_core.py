@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -178,6 +180,28 @@ class TestTriangularPredicates:
             a = Tensor(data.astype(complex))
             both = is_upper_triangular(a) and is_lower_triangular(a)
             assert both == is_diagonal(a)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_match_entrywise_definition(self, m):
+        rng = np.random.default_rng(m)
+        n = 4
+        positions = list(itertools.product(range(n), repeat=m))
+        upper = [t for t in positions if min(t[1:]) >= t[0]]
+        lower = [t for t in positions if max(t[1:]) <= t[0]]
+        cases = [Tensor(np.zeros((n,) * m))]
+        for allowed in (positions, upper, lower):
+            for count in (1, 3, 8):
+                data = np.zeros((n,) * m, dtype=complex)
+                for k in rng.choice(len(allowed), size=count, replace=False):
+                    data[allowed[k]] = rng.normal() + 1j * rng.normal()
+                cases.append(Tensor(data))
+                data[positions[rng.integers(len(positions))]] = 1.0
+                cases.append(Tensor(data))
+        for a in cases:
+            nonzero = [t for t in positions if a.data[t] != 0]
+            assert is_upper_triangular(a) == all(min(t[1:]) >= t[0] for t in nonzero)
+            assert is_lower_triangular(a) == all(max(t[1:]) <= t[0] for t in nonzero)
+        assert is_upper_triangular(cases[0]) and is_lower_triangular(cases[0])
 
     def test_rejects_vectors(self):
         with pytest.raises(OrderError):

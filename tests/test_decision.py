@@ -93,10 +93,21 @@ class TestPatternPermutations:
         got = [p.images for p in pattern_permutations(z, z)]
         assert got == sorted(got)
 
-    def test_rejects_non_binary_patterns(self):
-        a = sparse(3, 2, {(1, 2, 2): 5})
-        with pytest.raises(ShapeError):
-            list(pattern_permutations(a, a))
+    def test_valued_tensors_match_their_patterns(self):
+        # only the zero patterns are read: values give the same list as 0/1
+        rng = np.random.default_rng(9)
+        found = 0
+        for _ in range(30):
+            m = int(rng.integers(3, 5))
+            n = int(rng.integers(2, 6 if m == 3 else 5))
+            a = random_tensor(rng, m, n, density=float(rng.choice([0.1, 0.3, 0.6])))
+            forward = structured_transform(a, random_structured_witness(rng, m, n))
+            unrelated = random_tensor(rng, m, n, density=0.3)
+            for b in (forward, unrelated):
+                got = list(pattern_permutations(a, b))
+                assert got == list(pattern_permutations(zero_pattern(a), zero_pattern(b)))
+                found += len(got)
+        assert found >= 30
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("kind", ["zero", "unit", "dense"])
@@ -346,6 +357,22 @@ class TestDecideSimilar:
         w2 = decide_similar(a, b)
         assert w1.sigma == w2.sigma
         assert np.array_equal(w1.d.values, w2.d.values)
+
+    def test_builds_no_tensor(self, monkeypatch):
+        # the patterns are read from the nonzero lists, not from 0/1 tensors
+        a, b = seeded_forward_pair(7, 3, 12, 0.2)
+        c = perturbed(b, tuple(np.argwhere(b.data != 0)[0]), 1.5)
+        built = []
+        init = Tensor.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counted)
+        assert decide_similar(a, b) is not None
+        assert decide_similar(a, c) is None
+        assert built == []
 
     def test_order_and_shape_errors(self):
         with pytest.raises(OrderError):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -37,7 +39,7 @@ from tensim.generate import (
     random_unit_preserving_witness,
 )
 
-from reference import naive_diagonal_transform, naive_relabel
+from reference import naive_diagonal_transform, naive_general_product, naive_relabel
 
 
 def swap2():
@@ -204,13 +206,22 @@ class TestWitnessStructureReport:
         assert report.tail_max <= 1e-10
         assert report.majorization_residual <= 1e-10
 
-    def test_bad_pair_fails_tail_check(self):
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_bad_pair_fails_tail_check(self, m):
         t = Tensor([[1, 1], [0, 1]])
-        report = witness_structure_report(Witness(t, t, 3))
-        # (I Q)[1, 1, 2] = q11 * q12 = 1 survives
-        assert not report.tail_ok
-        assert report.tail_max == pytest.approx(1.0)
+        report = witness_structure_report(Witness(t, t, m))
+        # (I Q)[1, 1, 2] = q11 * q12 = 1 survives; at m = 2 every tail is a
+        # single index, so there is no tail to check
+        assert report.tail_ok == (m == 2)
+        assert report.tail_max == (0.0 if m == 2 else pytest.approx(1.0))
         assert not report.unit_preserving
+        rng = np.random.default_rng(m)
+        for q in (t, Tensor(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))):
+            image = naive_general_product(unit_tensor(m, q.dim), q)
+            positions = itertools.product(range(q.dim), repeat=m)
+            off = [abs(image.data[pos]) for pos in positions if len(set(pos[1:])) > 1]
+            tail_max = witness_structure_report(Witness(q, q, m)).tail_max
+            assert tail_max == pytest.approx(max(off, default=0.0), rel=1e-12)
 
     def test_random_composed_all_pass(self):
         rng = np.random.default_rng(2)
