@@ -101,11 +101,6 @@ def unit_tensor(order: int, dim: int, entry_limit: int = DEFAULT_ENTRY_LIMIT) ->
     return Tensor(data, entry_limit=entry_limit)
 
 
-def identity_matrix(dim: int) -> Tensor:
-    """Identity matrix as an order-2 tensor."""
-    return unit_tensor(2, dim)
-
-
 def majorization_matrix(a: Tensor) -> Tensor:
     """The n-by-n matrix whose (i, j) entry is ``a[i, j, j, ..., j]``."""
     if a.order < 2:

@@ -215,7 +215,7 @@ def decompose_witness(
     """
     if w.m < 3:
         raise OrderError("decomposition requires order >= 3")
-    if not check_unit_preserving(w):
+    if not check_unit_preserving(w, structural_tol):
         raise WitnessError("witness is not unit preserving")
     qd = w.q.data
     n = w.dim

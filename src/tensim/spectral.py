@@ -8,9 +8,13 @@ forms of degree ``m - 1`` in ``(x_1, x_2)``, and the characteristic polynomial
 root multiset is the spectrum.  Similar tensors share ``phi`` up to a nonzero
 constant factor.
 
-The resultant is evaluated as a Sylvester determinant at ``2m - 1`` sample
-points on a circle and recovered exactly by inverse discrete Fourier
-transform, which keeps the interpolation well conditioned.
+The resultant is the determinant of the Sylvester matrix of the two forms.
+The shift by ``lambda`` touches only the ``x_1^(m-1)`` coefficient of the first
+form and the ``x_2^(m-1)`` coefficient of the second, and those sit on the
+diagonal of the Sylvester matrix ``S`` of the unshifted forms.  So
+``phi(lambda) = det(S - lambda I)`` is the (monic) characteristic polynomial
+of ``S``, and the spectrum is the eigenvalue multiset of ``S``.  At order 2,
+``S`` is ``A`` itself.
 
 Dimensions 3 and up are refused: the corresponding resultants need Macaulay
 machinery that is out of scope here.
@@ -18,8 +22,7 @@ machinery that is out of scope here.
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as _iter_product
 
 import numpy as np
@@ -31,8 +34,8 @@ from .similarity import _int_pow
 
 #: Roots closer than this (relative to the spectral scale) are averaged into
 #: their cluster centroid, restoring the accuracy of multiple eigenvalues.
-#: Companion-matrix estimates of a k-fold root split by roughly eps**(1/k),
-#: which reaches the 1e-4 range for triple roots.
+#: Computed eigenvalues of a defective k-fold eigenvalue split by roughly
+#: eps**(1/k), which reaches the 1e-4 range for triple roots.
 _CLUSTER_TOL = 1e-3
 
 #: Default absolute tolerance for matching two spectra as multisets.
@@ -44,9 +47,6 @@ class CharPoly:
     """Polynomial in one variable, coefficients lowest degree first."""
 
     coeffs: tuple[complex, ...]
-    #: radius of the sampling circle used to interpolate the coefficients
-    #: (None when the polynomial was not produced by interpolation)
-    sample_radius: float | None = field(default=None, compare=False)
 
     @property
     def degree(self) -> int:
@@ -73,94 +73,38 @@ def _binary_form_coeffs(a: Tensor) -> np.ndarray:
     return coeffs
 
 
-def _sylvester_det(f: np.ndarray, g: np.ndarray) -> complex:
-    """Resultant of two binary forms of the same formal degree ``p``,
-    given as coefficient vectors of length ``p + 1``."""
-    p = f.shape[0] - 1
-    size = 2 * p
-    mat = np.zeros((size, size), dtype=np.complex128)
-    for r in range(p):
-        mat[r, r : r + p + 1] = f
-        mat[p + r, r : r + p + 1] = g
-    return complex(np.linalg.det(mat))
-
-
-def char_poly_dim2(a: Tensor) -> CharPoly:
-    """Characteristic polynomial of a dimension-2 tensor of order ``m >= 2``.
-
-    Order 2 falls back to the matrix characteristic polynomial
-    ``lambda^2 - tr(A) lambda + det(A)``; for ``m >= 3`` the degree is
-    exactly ``2*(m-1)`` (coefficient array of length ``2m - 1``).
-    """
+def _sylvester_matrix(a: Tensor) -> np.ndarray:
+    """Sylvester matrix ``S`` of the two forms of a dimension-2 tensor, with
+    ``phi(lambda) = det(S - lambda I)``."""
     if a.dim != 2:
         raise UnsupportedDimensionError(
             f"characteristic polynomials are implemented for dim 2 only, got {a.dim}"
         )
     if a.order < 2:
         raise OrderError("characteristic polynomial needs order >= 2")
+    forms = _binary_form_coeffs(a)
+    p = a.order - 1
+    s = np.zeros((2 * p, 2 * p), dtype=np.complex128)
+    for r in range(p):
+        s[r, r : r + p + 1] = forms[0]
+        s[p + r, r : r + p + 1] = forms[1]
+    return s
+
+
+def char_poly_dim2(a: Tensor) -> CharPoly:
+    """Characteristic polynomial of a dimension-2 tensor of order ``m >= 2``.
+
+    Monic of degree exactly ``2*(m-1)`` (coefficient array of length
+    ``2m - 1``).  Order 2 gives the matrix characteristic polynomial
+    ``lambda^2 - tr(A) lambda + det(A)`` in closed form.
+    """
+    s = _sylvester_matrix(a)
     if a.order == 2:
         m = a.data
         tr = m[0, 0] + m[1, 1]
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         return CharPoly((complex(det), complex(-tr), 1.0 + 0j))
-    coeffs, rho = _resultant_coefficients(a)
-    return CharPoly(tuple(coeffs), sample_radius=rho)
-
-
-def _interpolate_at_radius(forms: np.ndarray, p: int, rho: float) -> np.ndarray:
-    """Coefficients of the resultant polynomial from ``2p + 1`` Sylvester
-    determinants sampled on the circle of radius ``rho``.
-
-    The samples sit at scaled roots of unity, so the Vandermonde system is a
-    DFT and the degree <= 2p polynomial is recovered exactly.
-    """
-    nsamp = 2 * p + 1
-    omega = cmath.exp(2j * cmath.pi / nsamp)
-    samples = [rho * omega**k for k in range(nsamp)]
-    assert len(set(samples)) == nsamp, "sample points must be distinct"
-    dets = np.empty(nsamp, dtype=np.complex128)
-    for k, lam in enumerate(samples):
-        f = forms[0].copy()
-        g = forms[1].copy()
-        f[0] -= lam  # x_1^(m-1) term of the first form
-        g[p] -= lam  # x_2^(m-1) term of the second form
-        dets[k] = _sylvester_det(f, g)
-    ks = np.arange(nsamp)
-    coeffs = np.empty(nsamp, dtype=np.complex128)
-    for j in range(nsamp):
-        acc = np.sum(dets * np.exp(-2j * np.pi * j * ks / nsamp)) / nsamp
-        coeffs[j] = acc / rho**j
-    return coeffs
-
-
-def _resultant_coefficients(a: Tensor) -> tuple[np.ndarray, float]:
-    """Resultant coefficients with an adaptively chosen sampling radius.
-
-    Starting from ``1 + max entry magnitude``, the radius is pulled toward
-    the geometric mean of the root magnitudes, estimated from the ratio of
-    the constant to the leading coefficient.  Sampling far from the root
-    scale makes the determinant values dwarf the small coefficients (the
-    absolute noise of the constant term grows like ``eps * rho**(2p)``), so
-    a couple of refinement passes are essential when the entries are much
-    larger than the eigenvalues, as happens after strong diagonal scalings.
-    """
-    m = a.order
-    p = m - 1
-    degree = 2 * p
-    forms = _binary_form_coeffs(a)
-    rho = 1.0 + float(np.max(np.abs(a.data)))
-    coeffs = _interpolate_at_radius(forms, p, rho)
-    for _ in range(5):
-        c0, clead = abs(coeffs[0]), abs(coeffs[degree])
-        if c0 == 0.0 or clead == 0.0:
-            break
-        estimate = (c0 / clead) ** (1.0 / degree)
-        estimate = min(max(estimate, 1e-6), 1e6)
-        if 0.5 <= estimate / rho <= 2.0:
-            break
-        rho = estimate
-        coeffs = _interpolate_at_radius(forms, p, rho)
-    return coeffs, rho
+    return CharPoly(tuple(complex(c) for c in np.poly(s)[::-1]))
 
 
 def _cluster_roots(roots: np.ndarray, tol: float) -> np.ndarray:
@@ -169,8 +113,6 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> np.ndarray:
     The centroid of the cluster produced by a perturbed multiple root is far
     more accurate than any individual member.
     """
-    if roots.size == 0:
-        return roots
     order = np.lexsort((roots.imag, roots.real))
     rs = roots[order]
     out = np.empty_like(rs)
@@ -187,25 +129,11 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def spectrum_dim2(a: Tensor, cluster_tol: float = _CLUSTER_TOL) -> list[complex] | None:
+def spectrum_dim2(a: Tensor, cluster_tol: float = _CLUSTER_TOL) -> list[complex]:
     """Root multiset of the characteristic polynomial, canonically sorted
-    (by real part, then imaginary part).
-
-    Returns ``None`` for a degenerate tensor whose polynomial vanishes
-    identically (every scalar would be an eigenvalue).
-    """
-    cp = char_poly_dim2(a)
-    arr = np.asarray(cp.coeffs, dtype=np.complex128)
-    scale = float(np.max(np.abs(arr)))
-    if scale == 0.0:
-        return None
-    high_first = arr[::-1].copy()
-    high_first[np.abs(high_first) <= 1e-12 * scale] = 0.0
-    lead = np.nonzero(high_first)[0]
-    high_first = high_first[lead[0] :]
-    if high_first.shape[0] <= 1:
-        return []
-    roots = np.roots(high_first)
+    (by real part, then imaginary part): the ``2*(m-1)`` eigenvalues of the
+    Sylvester matrix, with near-coincident ones clustered."""
+    roots = np.linalg.eigvals(_sylvester_matrix(a))
     radius = cluster_tol * (1.0 + float(np.max(np.abs(roots))))
     roots = _cluster_roots(roots, radius)
     order = np.lexsort((roots.imag, roots.real))

@@ -65,6 +65,30 @@ def brute_force_pattern_key(a: Tensor) -> bytes:
     )
 
 
+def sylvester_resultant_dim2(a: Tensor, lam: complex) -> complex:
+    """Resultant of the two binary forms of ``A x^(m-1) - lam x^[m-1]`` at
+    dimension 2, as the determinant of their Sylvester matrix.
+
+    Form ``i`` has coefficient ``sum a[i, t_2, ..., t_m]`` on
+    ``x_1^(p-j) x_2^j``, summed over the tails with ``j`` indices equal to 2
+    (``p = m - 1``); ``lam`` is subtracted from the ``x_1^p`` coefficient of
+    the first form and the ``x_2^p`` coefficient of the second.
+    """
+    p = a.order - 1
+    forms = [[0j] * (p + 1) for _ in range(2)]
+    for i in range(2):
+        for tail in itertools.product(range(2), repeat=p):
+            forms[i][sum(tail)] += complex(a.data[(i,) + tail])
+    forms[0][0] -= lam
+    forms[1][p] -= lam
+    mat = np.zeros((2 * p, 2 * p), dtype=np.complex128)
+    for r in range(p):
+        for j in range(p + 1):
+            mat[r, r + j] = forms[0][j]
+            mat[p + r, r + j] = forms[1][j]
+    return complex(np.linalg.det(mat))
+
+
 # ---------------------------------------------------------------------------
 # Brute-force similarity oracle
 # ---------------------------------------------------------------------------

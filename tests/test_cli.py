@@ -12,6 +12,8 @@ from tensim import (
     compose_witness,
     diagonal_tensor,
     max_abs_diff,
+    spectra_match,
+    spectrum_dim2,
     structured_transform,
     unit_tensor,
 )
@@ -259,6 +261,21 @@ class TestCharpolyCommand:
         write_tensor(unit_tensor(3, 3), tmp_path / "a.json")
         code, _, _ = run_cli(["charpoly", str(tmp_path / "a.json")])
         assert code == 2
+
+    def test_order8_wide_witness(self, tmp_path):
+        # the wide witness range at order 8 spreads the entries over ~49 decades
+        rng = np.random.default_rng(3)
+        a = random_tensor(rng, 8, 2)
+        b = structured_transform(a, random_structured_witness(rng, 8, 2, (0.01, 100.0)))
+        write_tensor(b, tmp_path / "b.json")
+        code, out, _ = run_cli(["charpoly", str(tmp_path / "b.json")])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["char_poly"]["degree"] == 14
+        roots = [complex(re, im) for re, im in doc["spectrum"]]
+        assert len(roots) == 14
+        expected = spectrum_dim2(a)
+        assert spectra_match(roots, expected, atol=1e-6 * max(1.0, max(map(abs, expected))))
 
 
 class TestParsing:

@@ -183,6 +183,19 @@ class TestDecomposeWitness:
         with pytest.raises(WitnessError):
             decompose_witness(Witness(t, t, 3))
 
+    def test_structural_tol_applies_to_unit_check(self):
+        s = random_structured_witness(np.random.default_rng(0), 3, 4)
+        w = compose_witness(s)
+        p = w.p.data.copy()
+        p[0, np.flatnonzero(p[0])[0]] += 1e-8
+        w = Witness(Tensor(p), w.q, 3)
+        report = witness_structure_report(w, tol=1e-6)
+        assert 1e-10 < report.unit_deviation <= 1e-6 and report.unit_preserving
+        back = decompose_witness(w, structural_tol=1e-6, compare_tol=1e-6)
+        assert back.sigma == s.sigma
+        with pytest.raises(WitnessError):
+            decompose_witness(w)
+
     def test_rejects_inconsistent_p(self):
         s = StructuredWitness(swap2(), DiagonalScaling([2.0, 3.0]), 3)
         w = compose_witness(s)

@@ -27,6 +27,8 @@ from tensim import (
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.spectral import charpoly_distance
 
+from reference import sylvester_resultant_dim2
+
 
 def poly_from_roots(roots):
     coeffs = np.poly(np.asarray(roots, dtype=complex))[::-1]
@@ -73,24 +75,32 @@ class TestCharPolyFrozen:
             char_poly_dim2(Tensor([1.0, 2.0]))
 
 
+#: The witness magnitude ranges of the generators: the default and a wide one.
+WITNESS_RANGES = ((0.1, 10.0), (0.01, 100.0))
+
+
 class TestSimilarityInvariance:
     def test_random_witness_pairs(self):
         rng = np.random.default_rng(1)
-        for _ in range(50):
-            m = int(rng.choice([3, 4]))
-            a = random_tensor(rng, m, 2)
-            s = random_structured_witness(rng, m, 2)
-            b = structured_transform(a, s)
-            assert charpolys_equivalent(char_poly_dim2(a), char_poly_dim2(b), rtol=1e-7)
+        for m in range(3, 9):
+            for magnitudes in WITNESS_RANGES:
+                for _ in range(10):
+                    a = random_tensor(rng, m, 2)
+                    s = random_structured_witness(rng, m, 2, magnitudes)
+                    b = structured_transform(a, s)
+                    assert charpolys_equivalent(char_poly_dim2(a), char_poly_dim2(b), rtol=1e-7)
 
     def test_spectra_agree_too(self):
         rng = np.random.default_rng(2)
-        for _ in range(20):
-            m = int(rng.choice([3, 4]))
-            a = random_tensor(rng, m, 2)
-            s = random_structured_witness(rng, m, 2)
-            b = structured_transform(a, s)
-            assert spectra_match(spectrum_dim2(a), spectrum_dim2(b), atol=1e-6)
+        for m in range(3, 9):
+            for magnitudes in WITNESS_RANGES:
+                for _ in range(10):
+                    a = random_tensor(rng, m, 2)
+                    s = random_structured_witness(rng, m, 2, magnitudes)
+                    b = structured_transform(a, s)
+                    spec_a = spectrum_dim2(a)
+                    atol = 1e-6 * max(1.0, float(np.max(np.abs(spec_a))))
+                    assert spectra_match(spec_a, spectrum_dim2(b), atol=atol)
 
 
 class TestSpectrum:
@@ -99,8 +109,11 @@ class TestSpectrum:
         assert spectra_match(spec, [1, 1, 1, 1], atol=1e-6)
 
     def test_diagonal_ground_truth_frozen(self):
-        spec = spectrum_dim2(diagonal_tensor(3, [2, 3]))
-        assert np.max(np.abs(np.asarray(spec) - [2, 2, 3, 3])) < 1e-8
+        for vals in ([2, 3], [1000, 1000], [1000, 2000]):
+            spec = spectrum_dim2(diagonal_tensor(3, vals))
+            expected = np.repeat(vals, 2)
+            assert len(spec) == 4
+            assert np.max(np.abs(np.asarray(spec) - expected)) < 1e-8 * max(vals)
 
     def test_diagonal_ground_truth_random(self):
         rng = np.random.default_rng(3)
@@ -123,32 +136,27 @@ class TestSpectrum:
 
     def test_multiplicity_count(self):
         rng = np.random.default_rng(4)
-        for m in (3, 4):
-            spec = spectrum_dim2(random_tensor(rng, m, 2))
-            assert len(spec) == 2 * (m - 1)
+        for m in range(3, 9):
+            for magnitudes in WITNESS_RANGES:
+                for _ in range(5):
+                    a = random_tensor(rng, m, 2)
+                    b = structured_transform(a, random_structured_witness(rng, m, 2, magnitudes))
+                    assert len(spectrum_dim2(a)) == 2 * (m - 1)
+                    assert len(spectrum_dim2(b)) == 2 * (m - 1)
 
 
-class TestInterpolationSelfConsistency:
+class TestSylvesterResultant:
     def test_fresh_samples_match_determinant(self):
-        from tensim.spectral import _binary_form_coeffs, _sylvester_det
-
         rng = np.random.default_rng(5)
         for _ in range(10):
             m = int(rng.choice([3, 4]))
             a = random_tensor(rng, m, 2)
             cp = char_poly_dim2(a)
-            rho = cp.sample_radius
-            forms = _binary_form_coeffs(a)
-            p = m - 1
-            for k in range(5):
-                lam = rho * cmath.exp(2j * cmath.pi * (k + 0.37) / 5)
-                f = forms[0].copy()
-                g = forms[1].copy()
-                f[0] -= lam
-                g[p] -= lam
-                direct = _sylvester_det(f, g)
-                interpolated = cp(lam)
-                assert abs(direct - interpolated) <= 1e-7 * max(1.0, abs(direct))
+            for rho in (1.0, 1.0 + float(np.max(np.abs(a.data)))):
+                for k in range(5):
+                    lam = rho * cmath.exp(2j * cmath.pi * (k + 0.37) / 5)
+                    direct = sylvester_resultant_dim2(a, lam)
+                    assert abs(direct - cp(lam)) <= 1e-7 * max(1.0, abs(direct))
 
 
 class TestEigenResidual:
