@@ -1,23 +1,26 @@
 """Command-line front end.
 
 Every invocation writes exactly one JSON document to standard output and a
-short human-readable summary to standard error.  Exit codes:
+short human-readable summary to standard error; ``-o`` saves the printed
+bytes (for ``decide``, the witness alone).  Exit codes:
 
 * 0: success or affirmative answer;
 * 1: well-formed negative answer (not similar, check failed);
-* 2: usage or input error;
-* 3: numeric failure (tolerance breach).
+* 2: usage or input error (unreadable file, input over the entry limit);
+* 3: numeric failure: a result is not finite, so strict JSON cannot hold it.
 
-Numbers are printed with shortest round-trip representation, so identical
-inputs produce byte-identical output.
+After an error standard output stays empty.  Numbers are printed with
+shortest round-trip representation, so identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import json
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -29,14 +32,7 @@ from .decision import (
     similarity_invariants,
     triangularizable_pattern,
 )
-from .errors import (
-    FormatError,
-    OrderError,
-    ShapeError,
-    TensimError,
-    UnsupportedDimensionError,
-    WitnessError,
-)
+from .errors import FormatError, TensimError, WitnessError
 from .product import general_product
 from .similarity import (
     COMPARE_TOL,
@@ -59,11 +55,6 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
-def _emit(doc: dict, summary: str) -> None:
-    print(json.dumps(doc, indent=2))
-    print(summary, file=sys.stderr)
-
-
 def _parse_perm(text: str) -> Permutation:
     try:
         images = tuple(int(part) for part in text.split(","))
@@ -80,30 +71,39 @@ def _parse_diag(text: str) -> DiagonalScaling:
             values.append(complex(literal))
         except ValueError as exc:
             raise FormatError(f"cannot parse diagonal entry {part!r}") from exc
-        if not cmath.isfinite(values[-1]):
-            raise FormatError(f"diagonal entry {part!r} is not finite")
+        if not cmath.isfinite(values[-1]) or values[-1] == 0:
+            raise FormatError(f"diagonal entry {part!r} must be finite and nonzero")
     return DiagonalScaling(np.array(values))
 
 
+def _tolerance(text: str) -> float:
+    """The argparse type of the tolerance flags: a finite number >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
-# Command handlers: return (document, exit code, summary)
+# Command handlers: return (document, exit code, summary, what -o saves)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_product(args) -> tuple[dict, int, str]:
+def _cmd_product(args) -> tuple[dict, int, str, dict | None]:
     a = tio.read_tensor(args.a)
     b = tio.read_tensor(args.b)
     result = general_product(a, b)
     doc = tio.tensor_to_dict(result)
-    if args.out:
-        tio.write_tensor(result, args.out)
     return doc, EXIT_OK, (
         f"product: order {a.order} x order {b.order} -> order {result.order}, "
         f"dim {result.dim}, nnz {nnz(result)}"
-    )
+    ), doc
 
 
-def _cmd_transform(args) -> tuple[dict, int, str]:
+def _cmd_transform(args) -> tuple[dict, int, str, dict | None]:
     a = tio.read_tensor(args.a)
     if args.perm is None and args.diag is None:
         raise FormatError("nothing to apply: pass --perm and/or --diag")
@@ -120,62 +120,48 @@ def _cmd_transform(args) -> tuple[dict, int, str]:
         result = permutation_transform(result, sigma.inverse())
         steps.append("permutation")
     doc = tio.tensor_to_dict(result)
-    if args.out:
-        tio.write_tensor(result, args.out)
-    return doc, EXIT_OK, f"transform applied ({' then '.join(steps)}), nnz {nnz(result)}"
+    return doc, EXIT_OK, f"transform applied ({' then '.join(steps)}), nnz {nnz(result)}", doc
 
 
-def _load_witness(path_p: str, path_q: str, m: int) -> Witness:
-    p = tio.read_tensor(path_p)
-    q = tio.read_tensor(path_q)
-    try:
-        return Witness(p, q, m)
-    except (ShapeError, OrderError) as exc:
-        raise FormatError(str(exc)) from exc
-
-
-def _cmd_check_witness(args) -> tuple[dict, int, str]:
-    w = _load_witness(args.p, args.q, args.m)
+def _cmd_check_witness(args) -> tuple[dict, int, str, dict | None]:
+    w = Witness(tio.read_tensor(args.p), tio.read_tensor(args.q), args.m)
     report = witness_structure_report(w, tol=args.tol_structural)
     doc = report.to_dict()
     ok = report.unit_preserving and report.passed
     summary = "witness checks passed" if ok else "witness checks FAILED"
-    return doc, EXIT_OK if ok else EXIT_NEGATIVE, summary
+    return doc, EXIT_OK if ok else EXIT_NEGATIVE, summary, None
 
 
-def _cmd_decompose(args) -> tuple[dict, int, str]:
-    w = _load_witness(args.p, args.q, args.m)
+def _cmd_decompose(args) -> tuple[dict, int, str, dict | None]:
+    w = Witness(tio.read_tensor(args.p), tio.read_tensor(args.q), args.m)
     try:
         s = decompose_witness(
             w, structural_tol=args.tol_structural, compare_tol=args.tol_compare
         )
     except WitnessError as exc:
-        return {"decomposed": False, "error": str(exc)}, EXIT_NEGATIVE, f"not decomposable: {exc}"
+        doc = {"decomposed": False, "error": str(exc)}
+        return doc, EXIT_NEGATIVE, f"not decomposable: {exc}", None
     doc = tio.structured_witness_to_dict(s)
-    if args.out:
-        tio.write_structured_witness(s, args.out)
-    return doc, EXIT_OK, f"decomposed: sigma={list(s.sigma.images)}"
+    return doc, EXIT_OK, f"decomposed: sigma={list(s.sigma.images)}", doc
 
 
-def _cmd_decide(args) -> tuple[dict, int, str]:
+def _cmd_decide(args) -> tuple[dict, int, str, dict | None]:
     a = tio.read_tensor(args.a)
     b = tio.read_tensor(args.b)
     witness = decide_similar(a, b, rtol=args.tol_compare)
     if witness is None:
-        return {"similar": False}, EXIT_NEGATIVE, "not similar"
+        return {"similar": False}, EXIT_NEGATIVE, "not similar", None
     doc = {"similar": True, "witness": tio.structured_witness_to_dict(witness)}
-    if args.out:
-        tio.write_structured_witness(witness, args.out)
-    return doc, EXIT_OK, f"similar via sigma={list(witness.sigma.images)}"
+    return doc, EXIT_OK, f"similar via sigma={list(witness.sigma.images)}", doc["witness"]
 
 
-def _cmd_invariants(args) -> tuple[dict, int, str]:
+def _cmd_invariants(args) -> tuple[dict, int, str, dict | None]:
     a = tio.read_tensor(args.a)
     report = similarity_invariants(a)
-    return report.to_dict(), EXIT_OK, f"nnz={report.nnz}, diagonal={report.is_diagonal}"
+    return report.to_dict(), EXIT_OK, f"nnz={report.nnz}, diagonal={report.is_diagonal}", None
 
 
-def _cmd_charpoly(args) -> tuple[dict, int, str]:
+def _cmd_charpoly(args) -> tuple[dict, int, str, dict | None]:
     a = tio.read_tensor(args.a)
     cp = char_poly_dim2(a)
     spectrum = spectrum_dim2(a)
@@ -185,7 +171,7 @@ def _cmd_charpoly(args) -> tuple[dict, int, str]:
         # phi is monic, so it never vanishes; the key keeps the document's shape
         "degenerate": False,
     }
-    return doc, EXIT_OK, f"degree {cp.degree}, {len(spectrum)} roots"
+    return doc, EXIT_OK, f"degree {cp.degree}, {len(spectrum)} roots", None
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +183,7 @@ def _tensor_entries(t: Tensor) -> list:
     return tio.tensor_to_dict(t)["entries"]
 
 
-def _demo_order2_nnz() -> tuple[dict, int, str]:
+def _demo_order2_nnz() -> tuple[dict, str]:
     """Order-2 counterexample: similarity does not preserve the nonzero count."""
     p = Tensor([[1, 0], [1, 1]])
     q = Tensor([[1, 0], [-1, 1]])
@@ -217,11 +203,10 @@ def _demo_order2_nnz() -> tuple[dict, int, str]:
         "nnz_B": nnz(b),
         "contrast": "for order >= 3 the nonzero count is a similarity invariant",
     }
-    summary = f"N(A)={nnz(a)} != N(B)={nnz(b)} although B = P A Q with P Q = I"
-    return doc, EXIT_OK, summary
+    return doc, f"N(A)={nnz(a)} != N(B)={nnz(b)} although B = P A Q with P Q = I"
 
 
-def _demo_order2_diagonalization() -> tuple[dict, int, str]:
+def _demo_order2_diagonalization() -> tuple[dict, str]:
     """Order-2 diagonalizability versus the rigidity of diagonal tensors."""
     s = Tensor([[1, 1], [1, -1]])
     s_inv = Tensor([[0.5, 0.5], [0.5, -0.5]])
@@ -255,10 +240,10 @@ def _demo_order2_diagonalization() -> tuple[dict, int, str]:
             "transformed_is_diagonal": bool(is_diagonal(transformed)),
         },
     }
-    return doc, EXIT_OK, "order-2 diagonalization succeeds; order-3 diagonal tensors stay diagonal"
+    return doc, "order-2 diagonalization succeeds; order-3 diagonal tensors stay diagonal"
 
 
-def _demo_no_triangular_form() -> tuple[dict, int, str]:
+def _demo_no_triangular_form() -> tuple[dict, str]:
     """A pattern no relabeling makes upper triangular."""
     data = np.zeros((2, 2, 2), dtype=complex)
     data[0, 1, 1] = 1.0
@@ -290,7 +275,7 @@ def _demo_no_triangular_form() -> tuple[dict, int, str]:
         "exhaustive_certificate": certificate,
         "triangularizable": verdict is not None,
     }
-    return doc, EXIT_OK, "no relabeling of the pattern is upper triangular (both permutations checked)"
+    return doc, "no relabeling of the pattern is upper triangular (both permutations checked)"
 
 
 _DEMOS = {
@@ -300,8 +285,9 @@ _DEMOS = {
 }
 
 
-def _cmd_demo(args) -> tuple[dict, int, str]:
-    return _DEMOS[args.name]()
+def _cmd_demo(args) -> tuple[dict, int, str, dict | None]:
+    doc, summary = _DEMOS[args.name]()
+    return doc, EXIT_OK, summary, None
 
 
 # ---------------------------------------------------------------------------
@@ -343,22 +329,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_cw.add_argument("p", help="matrix file for P")
     p_cw.add_argument("q", help="matrix file for Q")
     p_cw.add_argument("--m", type=int, required=True, help="intended tensor order")
-    p_cw.add_argument("--tol-structural", type=float, default=STRUCTURAL_TOL)
+    p_cw.add_argument("--tol-structural", type=_tolerance, default=STRUCTURAL_TOL)
     p_cw.set_defaults(handler=_cmd_check_witness)
 
     p_dc = sub.add_parser("decompose", help="canonical (sigma, d) form of a witness pair")
     p_dc.add_argument("p", help="matrix file for P")
     p_dc.add_argument("q", help="matrix file for Q")
     p_dc.add_argument("--m", type=int, required=True, help="intended tensor order (>= 3)")
-    p_dc.add_argument("--tol-structural", type=float, default=STRUCTURAL_TOL)
-    p_dc.add_argument("--tol-compare", type=float, default=COMPARE_TOL)
+    p_dc.add_argument("--tol-structural", type=_tolerance, default=STRUCTURAL_TOL)
+    p_dc.add_argument("--tol-compare", type=_tolerance, default=COMPARE_TOL)
     p_dc.add_argument("-o", "--out", help="also write the structured witness to this file")
     p_dc.set_defaults(handler=_cmd_decompose)
 
     p_ds = sub.add_parser("decide", help="decide similarity of two tensors (order >= 3)")
     p_ds.add_argument("a", help="first tensor file")
     p_ds.add_argument("b", help="second tensor file")
-    p_ds.add_argument("--tol-compare", type=float, default=DECISION_TOL,
+    p_ds.add_argument("--tol-compare", type=_tolerance, default=DECISION_TOL,
                       help="relative reconstruction tolerance for accepting a witness")
     p_ds.add_argument("-o", "--out", help="write the structured witness here on success")
     p_ds.set_defaults(handler=_cmd_decide)
@@ -386,20 +372,22 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        doc, code, summary = args.handler(args)
-    except (FormatError, ShapeError, OrderError, UnsupportedDimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        doc, code, summary, saved = args.handler(args)
+        try:
+            text = tio._dumps(doc)
+        except ValueError as exc:  # NaN or an infinity somewhere in the result
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        if saved is not None and args.out:
+            Path(args.out).write_text(text if saved is doc else tio._dumps(saved))
     except WitnessError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    except TensimError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    _emit(doc, summary)
+    except (TensimError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    sys.stdout.write(text)
+    print(summary, file=sys.stderr)
     return code
 
 

@@ -22,10 +22,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Tensor
-from .errors import FormatError
+from .core import DEFAULT_ENTRY_LIMIT, Tensor
+from .errors import EntryLimitError, FormatError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness, Witness
 from .spectral import CharPoly
+
+
+def _dumps(doc) -> str:
+    """The text of every document and file: strict JSON, so NaN and the
+    infinities raise ``ValueError`` instead of being written."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _encode_scalar(value: complex):
@@ -91,6 +97,10 @@ def tensor_from_dict(obj) -> Tensor:
     order, dim = obj["order"], obj["dim"]
     if not isinstance(order, int) or not isinstance(dim, int) or order < 1 or dim < 1:
         raise FormatError("order and dim must be positive integers")
+    # any dim > 1 is over the limit once order reaches its bit length; the
+    # min keeps a huge order from building a huge integer
+    if dim ** min(order, DEFAULT_ENTRY_LIMIT.bit_length()) > DEFAULT_ENTRY_LIMIT:
+        raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
     fmt = obj["format"]
     if fmt == "dense":
         nested = _decode_nested(obj.get("entries"), order, dim, "dense entries")
@@ -123,7 +133,7 @@ def tensor_from_dict(obj) -> Tensor:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 
@@ -132,7 +142,7 @@ def read_tensor(path) -> Tensor:
 
 
 def write_tensor(t: Tensor, path, format: str = "dense") -> None:
-    Path(path).write_text(json.dumps(tensor_to_dict(t, format), indent=2) + "\n")
+    Path(path).write_text(_dumps(tensor_to_dict(t, format)))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +175,7 @@ def read_witness(path) -> Witness:
 
 
 def write_witness(w: Witness, path) -> None:
-    Path(path).write_text(json.dumps(witness_to_dict(w), indent=2) + "\n")
+    Path(path).write_text(_dumps(witness_to_dict(w)))
 
 
 def structured_witness_to_dict(s: StructuredWitness) -> dict:
@@ -198,7 +208,7 @@ def read_structured_witness(path) -> StructuredWitness:
 
 
 def write_structured_witness(s: StructuredWitness, path) -> None:
-    Path(path).write_text(json.dumps(structured_witness_to_dict(s), indent=2) + "\n")
+    Path(path).write_text(_dumps(structured_witness_to_dict(s)))
 
 
 # ---------------------------------------------------------------------------

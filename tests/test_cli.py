@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from tensim import (
+    DiagonalScaling,
+    Permutation,
+    StructuredWitness,
     Tensor,
     clean,
     compose_witness,
@@ -17,6 +20,7 @@ from tensim import (
     structured_transform,
     unit_tensor,
 )
+from tensim import io as tio
 from tensim.cli import main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
@@ -141,21 +145,26 @@ class TestTransformCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_zero_diag_entry_is_usage_error(self, tmp_path):
+        # a zero scaling once exited 1, the code of a negative answer
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        code, out, err = run_cli(["transform", str(tmp_path / "a.json"), "--diag", "0,1"])
+        assert (code, out) == (2, "")
+        assert "nonzero" in err
+
+
+def witness_pair(tmp_path):
+    """Writes P and Q of the witness sigma = (2, 1), d = (2, 3), m = 3, and
+    returns their command-line arguments."""
+    w = compose_witness(StructuredWitness(Permutation((2, 1)), DiagonalScaling([2.0, 3.0]), 3))
+    write_tensor(w.p, tmp_path / "p.json")
+    write_tensor(w.q, tmp_path / "q.json")
+    return [str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--m", "3"]
+
 
 class TestWitnessCommands:
-    def write_pair(self, tmp_path):
-        w = compose_witness(
-            __import__("tensim").StructuredWitness(
-                __import__("tensim").Permutation((2, 1)),
-                __import__("tensim").DiagonalScaling([2.0, 3.0]),
-                3,
-            )
-        )
-        write_tensor(w.p, tmp_path / "p.json")
-        write_tensor(w.q, tmp_path / "q.json")
-
     def test_check_witness_passes(self, tmp_path):
-        self.write_pair(tmp_path)
+        witness_pair(tmp_path)
         code, out, _ = run_cli(
             ["check-witness", str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--m", "3"]
         )
@@ -173,7 +182,7 @@ class TestWitnessCommands:
         assert json.loads(out)["passed"] is False
 
     def test_decompose_frozen(self, tmp_path):
-        self.write_pair(tmp_path)
+        witness_pair(tmp_path)
         code, out, _ = run_cli(
             ["decompose", str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--m", "3"]
         )
@@ -276,6 +285,110 @@ class TestCharpolyCommand:
         assert len(roots) == 14
         expected = spectrum_dim2(a)
         assert spectra_match(roots, expected, atol=1e-6 * max(1.0, max(map(abs, expected))))
+
+
+class TestOutputFiles:
+    """``-o`` saves the printed bytes (for ``decide``, the witness), and only
+    when the command succeeds."""
+
+    def test_file_equals_stdout(self, tmp_path):
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        write_tensor(Tensor([[1, 2], [0, 1]]), tmp_path / "b.json")
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        for argv in (["product", a, b], ["transform", a, "--perm=2,1", "--diag=2,3"],
+                     ["decompose", *witness_pair(tmp_path)]):
+            out_path = tmp_path / f"{argv[0]}-out.json"
+            code, out, _ = run_cli([*argv, "-o", str(out_path)])
+            assert code == 0
+            assert out_path.read_text() == out, argv[0]
+
+    def test_decide_saves_the_witness_only_when_similar(self, tmp_path):
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        write_tensor(diagonal_tensor(3, [1, 2]), tmp_path / "b.json")
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        out_path = tmp_path / "w.json"
+        code, out, _ = run_cli(["decide", a, b, "-o", str(out_path)])
+        assert code == 1 and json.loads(out) == {"similar": False}
+        assert not out_path.exists()
+        code, out, _ = run_cli(["decide", a, a, "-o", str(out_path)])
+        assert code == 0
+        saved = json.loads(out_path.read_text())
+        assert saved == json.loads(out)["witness"]
+        assert set(saved) == {"m", "sigma", "d"}
+
+    def test_out_directory_is_usage_error(self, tmp_path):
+        write_tensor(unit_tensor(2, 2), tmp_path / "a.json")
+        a = str(tmp_path / "a.json")
+        code, out, err = run_cli(["product", a, a, "-o", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_transform_encodes_the_result_once(self, tmp_path, monkeypatch):
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        calls = []
+        encode = tio.tensor_to_dict
+        monkeypatch.setattr(tio, "tensor_to_dict", lambda *a, **k: calls.append(1) or encode(*a, **k))
+        code, _, _ = run_cli(
+            ["transform", str(tmp_path / "a.json"), "--diag=2,3", "-o", str(tmp_path / "out.json")]
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+
+class TestExitCodes:
+    """An input error exits 2 and a result that is not finite exits 3, with
+    nothing on stdout and no file written."""
+
+    def test_non_finite_result_is_numeric_failure(self, tmp_path):
+        write_tensor(Tensor(np.ones((2, 2, 2))), tmp_path / "a.json")
+        write_tensor(Tensor(np.full((2, 2), 1e200)), tmp_path / "h.json")
+        a, h, out_path = (str(tmp_path / name) for name in ("a.json", "h.json", "out.json"))
+        for argv in (["transform", a, "--diag=1e200,1e-200"], ["product", a, h]):
+            with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the point
+                code, out, err = run_cli([*argv, "-o", out_path])
+            assert (code, out) == (3, ""), argv[0]
+            assert err.startswith("numeric failure:")
+            assert not Path(out_path).exists()
+
+    def test_directory_input_is_usage_error(self, tmp_path):
+        code, out, _ = run_cli(["invariants", str(tmp_path)])
+        assert (code, out) == (2, "")
+
+    def test_undecodable_input_is_usage_error(self, tmp_path):
+        (tmp_path / "a.json").write_bytes(b"\xff\xfe")
+        code, out, _ = run_cli(["invariants", str(tmp_path / "a.json")])
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("order, dim", [(10, 100), (3, 500)])
+    def test_header_over_entry_limit_is_usage_error(self, tmp_path, order, dim):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"order": order, "dim": dim, "format": "sparse", "entries": []}))
+        code, out, _ = run_cli(["invariants", str(path)])
+        assert (code, out) == (2, "")
+
+    def test_product_over_entry_limit_is_usage_error(self, tmp_path):
+        write_tensor(unit_tensor(5, 3), tmp_path / "a.json")
+        a = str(tmp_path / "a.json")
+        code, out, _ = run_cli(["product", a, a])  # 3**17 entries
+        assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, value):
+        a = np.random.default_rng(0).normal(size=(3, 3, 3))
+        b = a.copy()
+        b[2, 0, 0] *= 1.7  # not similar to a at the default tolerance
+        write_tensor(Tensor(a), tmp_path / "a.json")
+        write_tensor(Tensor(b), tmp_path / "b.json")
+        a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+        pair = witness_pair(tmp_path)
+        for argv in (["decide", a, a, "--tol-compare", value],
+                     ["decide", a, b, "--tol-compare", value],
+                     ["check-witness", *pair, "--tol-structural", value],
+                     ["decompose", *pair, "--tol-structural", value],
+                     ["decompose", *pair, "--tol-compare", value]):
+            code, out, _ = run_cli(argv)
+            assert (code, out) == (2, ""), argv
 
 
 class TestParsing:

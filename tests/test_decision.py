@@ -547,6 +547,19 @@ def hashes_agree_with_oracle(a, b):
     return (canonical_pattern_hash(a) == canonical_pattern_hash(b)) == same_class
 
 
+def cubic_pattern(rng, n):
+    """A random 3-regular graph on ``n`` labels, each edge ``{i, j}`` written
+    as the entries ``(i, j, j)`` and ``(j, i, i)``."""
+    while True:
+        edges = rng.permutation(np.repeat(np.arange(n), 3)).reshape(-1, 2)
+        pairs = {frozenset(e) for e in edges.tolist()}
+        if len(pairs) == len(edges) and all(len(e) == 2 for e in pairs):  # a simple graph
+            break
+    data = np.zeros((n,) * 3)
+    data[edges[:, 0], edges[:, 1], edges[:, 1]] = data[edges[:, 1], edges[:, 0], edges[:, 0]] = 1.0
+    return Tensor(data)
+
+
 class TestCanonicalPatternHash:
     def test_agrees_with_oracle_on_random_pairs(self):
         rng = np.random.default_rng(21)
@@ -587,6 +600,27 @@ class TestCanonicalPatternHash:
         hexagon = sparse(3, 6, {(i + 1, (i + 1) % 6 + 1, (i + 1) % 6 + 1): 1 for i in range(6)})
         assert canonical_pattern_hash(two_triangles) != canonical_pattern_hash(hexagon)
         assert hashes_agree_with_oracle(two_triangles, hexagon)
+
+    def test_cubic_graphs_need_the_best_leaf(self):
+        # refinement leaves every label of a 3-regular graph in one cell, and
+        # the first leaf is often not the smallest: the search must keep its
+        # best leaf up to date
+        rng = np.random.default_rng(24)
+        for n in (6, 8, 10):
+            for _ in range(15):
+                a = cubic_pattern(rng, n)
+                b = relabeled(a, rng.permutation(n))
+                assert canonical_pattern_hash(a) == canonical_pattern_hash(b), n
+        outcomes = set()
+        for n, count in [(6, 8), (8, 3)]:
+            patterns = [cubic_pattern(rng, n) for _ in range(count)]
+            patterns.append(relabeled(patterns[0], rng.permutation(n)))
+            keys = [brute_force_pattern_key(p) for p in patterns]
+            hashes = [canonical_pattern_hash(p) for p in patterns]
+            for i, j in itertools.combinations(range(len(patterns)), 2):
+                assert (hashes[i] == hashes[j]) == (keys[i] == keys[j]), (n, i, j)
+                outcomes.add(hashes[i] == hashes[j])
+        assert outcomes == {True, False}
 
     def test_invariant_under_relabeling_at_scale(self):
         rng = np.random.default_rng(23)

@@ -6,6 +6,7 @@ import pytest
 from tensim import (
     CharPoly,
     DiagonalScaling,
+    EntryLimitError,
     FormatError,
     Permutation,
     StructuredWitness,
@@ -163,6 +164,26 @@ class TestTensorValidation:
         path.write_text("{oops")
         with pytest.raises(FormatError):
             read_tensor(path)
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe")
+        with pytest.raises(FormatError):
+            read_tensor(path)
+
+    @pytest.mark.parametrize(
+        "order, dim, fmt", [(10, 100, "sparse"), (3, 500, "sparse"), (3, 500, "dense"), (100, 2, "sparse")]
+    )
+    def test_entry_limit_checked_from_the_header(self, order, dim, fmt):
+        # no entries are needed: the header alone is over the limit
+        with pytest.raises(EntryLimitError):
+            tensor_from_dict({"order": order, "dim": dim, "format": fmt, "entries": []})
+
+    def test_non_finite_tensor_not_written(self, tmp_path):
+        path = tmp_path / "nan.json"
+        with pytest.raises(ValueError):
+            write_tensor(Tensor([[float("nan"), 0], [0, 1]]), path)
+        assert not path.exists()
 
 
 class TestWitnessFiles:
