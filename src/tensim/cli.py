@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 from pathlib import Path
@@ -295,6 +296,7 @@ def _cmd_demo(args) -> tuple[dict, int, str, dict | None]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # built on first use, then reused by every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensim",

@@ -341,9 +341,10 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     diag = (np.arange(a.dim),) * a.order
     a_diag, b_diag = a.data[diag], b.data[diag]
     allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
-    scaling = _ScalingSolve(a)
+    scaling = None  # built at the first candidate: most unrelated pairs yield none
     for pi in pattern_permutations(a, b, allowed=allowed):
         sigma = pi.inverse()
+        scaling = scaling or _ScalingSolve(a)
         d = scaling.solve(b, sigma, rtol)
         if d is not None:
             return StructuredWitness(sigma, d, a.order)

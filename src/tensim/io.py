@@ -12,12 +12,19 @@ Tensor files carry ``order``, ``dim`` and ``format`` (``"dense"`` or
 Witness files are ``{"m": int, "P": <tensor>, "Q": <tensor>}`` with order-2
 tensor payloads; structured witness files are
 ``{"m": int, "sigma": [s(1), ..., s(n)], "d": [[re, im], ...]}``.
+
+Every document and file is the text of ``json.dumps(doc, indent=2,
+allow_nan=False)`` and a newline, so NaN and the infinities raise ``ValueError``
+instead of being written.  Large nests of numbers take the C encoder.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
+from itertools import chain, compress, repeat
+from operator import not_
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +34,56 @@ from .errors import EntryLimitError, FormatError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness, Witness
 from .spectral import CharPoly
 
+#: the C encoder, with an item separator that no number's text contains
+_COMPACT = json.JSONEncoder(allow_nan=False, separators=("|", ":"))
+_PRETTY = json.JSONEncoder(allow_nan=False, indent=2)
+#: scalar types encoded and decoded in bulk; other int and float subclasses go one by one
+_NUMBERS = {int, float, np.float64}
+
 
 def _dumps(doc) -> str:
-    """The text of every document and file: strict JSON, so NaN and the
-    infinities raise ``ValueError`` instead of being written."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """The text of every document and file (see the module docstring)."""
+    return (_split(doc, "\n") or _PRETTY.encode(doc)) + "\n"
+
+
+def _split(obj, nl: str) -> str | None:
+    """The text of ``obj`` with ``nl`` for each newline, when it holds a large
+    nest of numbers to pass through the C encoder; else ``None``."""
+    if isinstance(obj, dict) and all(type(k) is str for k in obj):
+        inner = nl + "  "
+        texts = [_split(v, inner) for v in obj.values()]
+        if any(texts):  # JSON escapes every newline in a string: replace() indents lines
+            items = [json.dumps(k) + ": " + (text or _PRETTY.encode(v).replace("\n", inner))
+                     for (k, v), text in zip(obj.items(), texts)]
+            return "{" + inner + ("," + inner).join(items) + nl + "}"
+    shape, x = [], obj
+    while isinstance(x, list) and x:
+        shape, x = shape + [len(x)], x[0]
+    if math.prod(shape) < 32 or type(x) not in _NUMBERS:  # small: not worth a split
+        return None
+    leaves, depth = _flatten(obj, shape)
+    if depth < len(shape) or not set(map(type, leaves)) <= _NUMBERS:
+        return None
+    # neighbouring leaves whose rows part k levels up are separated by k closing brackets,
+    # "|" and k opening ones; longer runs are indented first, so shorter ones cannot match
+    pad = [nl + "  " * level for level in range(depth + 1)]
+    opens = ["[" + p for p in pad[1:]]  # of levels 1, ..., depth
+    closes = [p + "]" for p in reversed(pad[:-1])]  # of levels depth, ..., 1
+    body = _COMPACT.encode(obj)[depth:-depth]
+    for k in range(depth - 1, -1, -1):
+        boundary = "".join(closes[:k]) + "," + pad[depth - k] + "".join(opens[depth - k:])
+        body = body.replace("]" * k + "|" + "[" * k, boundary)
+    return "".join(opens) + body + "".join(closes)
+
+
+def _flatten(nest, shape) -> tuple[list, int]:
+    """The items ``depth`` lists deep in ``nest``, for the first ``depth`` levels of ``shape``."""
+    level = [nest]
+    for depth, n in enumerate(shape):
+        if not all(map(isinstance, level, repeat(list))) or set(map(len, level)) != {n}:
+            return level, depth
+        level = list(chain.from_iterable(level))
+    return level, len(shape)
 
 
 def _encode_scalar(value: complex):
@@ -46,39 +98,45 @@ def _is_finite_number(value) -> bool:
 
 def _decode_scalar(payload, where: str) -> complex:
     """A number or ``[re, im]``; NaN and infinities are rejected."""
-    if _is_finite_number(payload):
-        return complex(payload)
-    if isinstance(payload, list) and len(payload) == 2 and all(map(_is_finite_number, payload)):
-        return complex(payload[0], payload[1])
+    with suppress(OverflowError):  # from isfinite, on an integer beyond the float range
+        if _is_finite_number(payload):
+            return complex(payload)
+        pair = isinstance(payload, list) and len(payload) == 2
+        if pair and all(map(_is_finite_number, payload)):
+            return complex(payload[0], payload[1])
     raise FormatError(
         f"{where}: scalar must be a finite number or [re, im], got {payload!r}"
     )
 
 
-def _encode_nested(data: np.ndarray):
-    if data.ndim == 1:
-        return [_encode_scalar(v) for v in data]
-    return [_encode_nested(sub) for sub in data]
-
-
-def _decode_nested(payload, order: int, dim: int, where: str):
-    if order == 1:
-        if not isinstance(payload, list) or len(payload) != dim:
-            raise FormatError(f"{where}: expected a list of {dim} scalars")
-        return [_decode_scalar(v, where) for v in payload]
-    if not isinstance(payload, list) or len(payload) != dim:
-        raise FormatError(f"{where}: expected a list of {dim} sub-arrays")
-    return [_decode_nested(sub, order - 1, dim, where) for sub in payload]
+def _dense_scalars(payload, order: int, dim: int) -> np.ndarray:
+    """The entries of a dense payload, flat, with the scalar types checked in
+    bulk; a payload that fails is read scalar by scalar to name its first bad one."""
+    scalars, depth = _flatten(payload, (dim,) * order)
+    if depth < order:
+        kind = "scalars" if depth == order - 1 else "sub-arrays"
+        raise FormatError(f"dense entries: expected a list of {dim} {kind}")
+    is_pair = list(map(isinstance, scalars, repeat(list)))
+    pairs = list(compress(scalars, is_pair))
+    kinds = set(map(type, scalars)) - {list} | set(map(type, chain.from_iterable(pairs)))
+    if set(map(len, pairs)) <= {2} and kinds <= _NUMBERS:
+        values = np.zeros(len(scalars), dtype=np.complex128)
+        mask = np.array(is_pair, dtype=bool)
+        with suppress(OverflowError):  # an integer beyond the float range
+            values.real[~mask] = list(compress(scalars, map(not_, is_pair)))
+            values[mask] = np.array(pairs, dtype=float).reshape(-1, 2).view(np.complex128).ravel()
+            if np.isfinite(values).all():
+                return values
+    return np.array([_decode_scalar(v, "dense entries") for v in scalars], dtype=np.complex128)
 
 
 def tensor_to_dict(t: Tensor, format: str = "dense") -> dict:
     if format == "dense":
-        return {
-            "order": t.order,
-            "dim": t.dim,
-            "format": "dense",
-            "entries": _encode_nested(t.data),
-        }
+        data = t.data.ravel()
+        nest = [[re, im] if im else re for re, im in zip(data.real.tolist(), data.imag.tolist())]
+        for _ in range(t.order - 1):
+            nest = [nest[i:i + t.dim] for i in range(0, len(nest), t.dim)]
+        return {"order": t.order, "dim": t.dim, "format": "dense", "entries": nest}
     if format == "sparse":
         entries = []
         for pos in np.argwhere(t.data != 0):
@@ -103,8 +161,7 @@ def tensor_from_dict(obj) -> Tensor:
         raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
     fmt = obj["format"]
     if fmt == "dense":
-        nested = _decode_nested(obj.get("entries"), order, dim, "dense entries")
-        return Tensor(np.array(nested, dtype=np.complex128))
+        return Tensor(_dense_scalars(obj.get("entries"), order, dim).reshape((dim,) * order))
     if fmt == "sparse":
         entries = obj.get("entries")
         if not isinstance(entries, list):
@@ -133,7 +190,7 @@ def tensor_from_dict(obj) -> Tensor:
 def _read_json(path):
     try:
         return json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad syntax, an integer past the digit limit
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -21,7 +22,7 @@ from tensim import (
     unit_tensor,
 )
 from tensim import io as tio
-from tensim.cli import main
+from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
 
@@ -399,3 +400,61 @@ class TestParsing:
     def test_help_exits_zero(self):
         code, _, _ = run_cli(["--help"])
         assert code == 0
+
+
+class TestParserReuse:
+    """One parser serves every call of ``main`` in a process."""
+
+    def test_defaults_do_not_carry_over(self, tmp_path):
+        a = np.random.default_rng(2).normal(size=(3, 3, 3))
+        b = a.copy()
+        b[2, 0, 0] *= 1 + 1e-5  # similar at 1e-3, not at the default tolerance
+        write_tensor(Tensor(a), tmp_path / "a.json")
+        write_tensor(Tensor(b), tmp_path / "b.json")
+        pair = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        codes = [run_cli(["decide", *pair, *flags])[0]
+                 for flags in (["--tol-compare", "1e-3"], [], ["--tol-compare", "1e-3"], [])]
+        assert codes == [0, 1, 0, 1]
+
+    def test_help_and_usage_errors_on_every_call(self):
+        for _ in range(3):
+            code, out, _ = run_cli(["--help"])
+            assert code == 0 and out.startswith("usage: tensim")
+            code, out, err = run_cli(["decide", "only-one.json"])
+            assert (code, out) == (2, "") and "usage: tensim decide" in err
+
+    def test_parser_is_built_once(self, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+        monkeypatch.setattr(
+            argparse.ArgumentParser,
+            "add_subparsers",
+            lambda self, **kwargs: builds.append(1) or add_subparsers(self, **kwargs),
+        )
+        build_parser.cache_clear()
+        for _ in range(5):
+            assert run_cli(["demo", "remark-3-4"])[0] == 0
+        assert len(builds) == 1
+
+
+class TestLongIntegers:
+    """An input integer beyond the float range, or past the digit limit of
+    int(), is an input error (exit 2), not a traceback with exit 1."""
+
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    def test_entry_beyond_the_float_range(self, tmp_path, fmt):
+        doc = tio.tensor_to_dict(unit_tensor(3, 2), format=fmt)
+        text = json.dumps(doc).replace("1.0", "1" + "0" * 400, 1)
+        (tmp_path / "big.json").write_text(text)
+        big = str(tmp_path / "big.json")
+        code, out, err = run_cli(["decide", big, big])
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        (tmp_path / "long.json").write_text(
+            '{"order": 3, "dim": 1, "format": "dense", "entries": [[[' + "9" * 5000 + "]]]}"
+        )
+        code, out, err = run_cli(["invariants", str(tmp_path / "long.json")])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")

@@ -634,3 +634,38 @@ class TestCanonicalPatternHash:
         assert canonical_pattern_hash(Tensor(np.zeros((2,) * 3))) != canonical_pattern_hash(
             Tensor(np.zeros(8))
         )
+
+
+class TestDeferredScalingSolve:
+    """The per-support part of the scaling solve is built only once the
+    pattern search yields a candidate."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        count = []
+
+        class Counting(decision._ScalingSolve):
+            def __init__(self, a):
+                count.append(1)
+                super().__init__(a)
+
+        monkeypatch.setattr(decision, "_ScalingSolve", Counting)
+        return count
+
+    def test_no_build_without_a_candidate(self, builds):
+        a = unit_tensor(3, 2)
+        data = np.zeros((2, 2, 2), dtype=complex)
+        data[0, 0, 0] = data[0, 1, 1] = 1.0  # nnz 2, but not a relabeling of Z(a)
+        assert decide_similar(a, Tensor(data)) is None
+        rng = np.random.default_rng(4)
+        a = random_tensor(rng, 3, 12, density=0.05)
+        b = Tensor(rng.permutation(a.data.ravel()).reshape(a.data.shape))  # scattered nonzeros
+        assert decide_similar(a, b) is None
+        assert builds == []
+
+    def test_one_build_for_a_similar_pair(self, builds):
+        rng = np.random.default_rng(6)
+        a = random_tensor(rng, 3, 5, density=0.4)
+        b = clean(structured_transform(a, random_structured_witness(rng, 3, 5)))
+        assert decide_similar(a, b) is not None
+        assert builds == [1]

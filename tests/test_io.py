@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tensim import (
     CharPoly,
@@ -16,6 +20,7 @@ from tensim import (
 )
 from tensim.generate import random_tensor
 from tensim.io import (
+    _dumps,
     charpoly_from_dict,
     charpoly_to_dict,
     read_structured_witness,
@@ -248,3 +253,151 @@ class TestCharPolySerialization:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(FormatError):
             charpoly_from_dict({"degree": 3, "coeffs": [[1, 0], [2, 0]]})
+
+
+# ---------------------------------------------------------------------------
+# The encoder: the text of json.dumps(doc, indent=2, allow_nan=False)
+# ---------------------------------------------------------------------------
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+numbers = st.one_of(
+    st.integers(),
+    finite_floats,
+    finite_floats.map(np.float64),
+    st.sampled_from([-0.0, 1e-300, 1e22, np.float64(-0.0), np.float64(1e22)]),
+)
+strings = st.text(st.one_of(st.sampled_from('|[],"\\:\n'), st.characters()), max_size=8)
+non_finite = st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)])
+
+
+@st.composite
+def regular_nests(draw, leaves=numbers):
+    """A nest of lists of depth 1 to 5 with every leaf at the bottom; about
+    half of them hold 32 to a few hundred leaves, the rest fewer."""
+    depth = draw(st.integers(1, 5))
+    low = draw(st.sampled_from([1, math.ceil(32 ** (1 / depth))]))
+    shape = draw(st.lists(st.integers(low, math.ceil(200 ** (1 / depth))), min_size=depth, max_size=depth))
+    nest = draw(st.lists(leaves, min_size=math.prod(shape), max_size=math.prod(shape)))
+    for n in reversed(shape[1:]):
+        nest = [nest[i:i + n] for i in range(0, len(nest), n)]
+    return nest
+
+
+# dense payloads: bare reals among [re, im] pairs
+mixed_nests = regular_nests(st.one_of(numbers, st.lists(numbers, min_size=2, max_size=2)))
+# regular in shape, but with strings or booleans among the numbers
+other_nests = regular_nests(st.one_of(numbers, strings, st.booleans(), st.none()))
+documents = st.recursive(
+    st.one_of(st.none(), st.booleans(), numbers, strings, regular_nests(), mixed_nests, other_nests),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(strings, children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestEncoder:
+    @given(documents)
+    def test_text_is_json_dumps(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @given(st.dictionaries(strings, regular_nests(), min_size=1, max_size=3))
+    def test_nests_inside_objects(self, doc):
+        # json.dumps writes the key 0 as "0"
+        doc = {"order": 3, "payload": doc, "entries": list(doc.values()), 0: list(doc.values())}
+        assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @given(regular_nests(), st.integers(0), non_finite, st.booleans())
+    def test_non_finite_number_raises(self, nest, where, bad, wrapped):
+        row = nest
+        while isinstance(row[0], list):
+            row = row[where % len(row)]
+        row[where % len(row)] = bad
+        with pytest.raises(ValueError):
+            _dumps({"x": [nest]} if wrapped else nest)
+
+    def test_tensor_documents(self):
+        rng = np.random.default_rng(5)
+        w = Witness(random_tensor(rng, 2, 6), random_tensor(rng, 2, 6, density=0.5), 3)
+        docs = [witness_to_dict(w)]
+        for order, dim, density in [(3, 4, 1.0), (4, 3, 0.5), (2, 8, 0.0), (5, 2, 0.7)]:
+            t = random_tensor(rng, order, dim, density=density)
+            docs += [tensor_to_dict(t), tensor_to_dict(t, format="sparse")]
+        for doc in docs:
+            assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The dense decoder: every scalar as complex(x) or complex(re, im)
+# ---------------------------------------------------------------------------
+
+
+def reference_decode(payload, order):
+    """The dense entries read one scalar at a time."""
+    if order == 0:
+        return complex(*payload) if isinstance(payload, list) else complex(payload)
+    return [reference_decode(sub, order - 1) for sub in payload]
+
+
+decode_numbers = st.one_of(
+    st.integers(-(2**80), 2**80),
+    finite_floats,
+    st.sampled_from([-0.0, 1e-300, 1e308, np.float64(-2.5)]),
+)
+
+
+class TestDenseDecoder:
+    @pytest.mark.parametrize("scalars", ["real", "pairs", "mixed"])
+    @given(data=st.data())
+    def test_bytes_equal_scalar_by_scalar(self, scalars, data):
+        order, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        pair = st.lists(decode_numbers, min_size=2, max_size=2)
+        leaf = {"real": decode_numbers, "pairs": pair, "mixed": decode_numbers | pair}[scalars]
+        flat = data.draw(st.lists(leaf, min_size=dim**order, max_size=dim**order))
+        for _ in range(order - 1):
+            flat = [flat[i:i + dim] for i in range(0, len(flat), dim)]
+        doc = {"order": order, "dim": dim, "format": "dense", "entries": flat}
+        want = np.array(reference_decode(flat, order), dtype=np.complex128)
+        assert tensor_from_dict(doc).data.tobytes() == want.tobytes()
+
+    def test_written_tensors_read_back_bytewise(self):
+        rng = np.random.default_rng(9)
+        for density in (1.0, 0.3):
+            t = random_tensor(rng, 3, 5, density=density)
+            doc = json.loads(_dumps(tensor_to_dict(t)))
+            assert tensor_from_dict(doc).data.tobytes() == t.data.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[1, "1.5"], [0, 1]], "dense entries: scalar must be a finite number or [re, im], got '1.5'"),
+            ([[[True, 1.0], 0], [0, 1]], "dense entries: scalar must be a finite number or [re, im], got [True, 1.0]"),
+            ([[[1.0, 2.0, 3.0], 0], [0, 1]], "dense entries: scalar must be a finite number or [re, im], got [1.0, 2.0, 3.0]"),
+            ([[1, 0], [0, 1, 0]], "dense entries: expected a list of 2 scalars"),
+            ([[1, 0], 1], "dense entries: expected a list of 2 scalars"),
+            ([[1, 0]], "dense entries: expected a list of 2 sub-arrays"),
+        ],
+    )
+    def test_messages(self, entries, message):
+        doc = {"order": 2, "dim": 2, "format": "dense", "entries": entries}
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            tensor_from_dict(doc)
+
+
+class TestLongIntegers:
+    """An integer beyond the float range is a format error, not a crash."""
+
+    def test_dense_entry(self):
+        for value in (10**400, [0, -(10**400)]):
+            doc = {"order": 2, "dim": 2, "format": "dense", "entries": [[1, value], [0, 1]]}
+            with pytest.raises(FormatError, match="finite"):
+                tensor_from_dict(doc)
+
+    def test_sparse_entry(self):
+        doc = {"order": 3, "dim": 2, "format": "sparse", "entries": [{"idx": [1, 1, 1], "val": 10**400}]}
+        with pytest.raises(FormatError, match="finite"):
+            tensor_from_dict(doc)
+
+    def test_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text('{"order": 1, "dim": 1, "format": "dense", "entries": [' + "7" * 5000 + "]}")
+        with pytest.raises(FormatError, match="not valid JSON"):
+            read_tensor(path)
