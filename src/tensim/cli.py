@@ -48,7 +48,7 @@ from .similarity import (
     structured_transform,
     witness_structure_report,
 )
-from .spectral import char_poly_dim2, spectrum_dim2
+from .spectral import _char_poly_and_spectrum
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -164,8 +164,7 @@ def _cmd_invariants(args) -> tuple[dict, int, str, dict | None]:
 
 def _cmd_charpoly(args) -> tuple[dict, int, str, dict | None]:
     a = tio.read_tensor(args.a)
-    cp = char_poly_dim2(a)
-    spectrum = spectrum_dim2(a)
+    cp, spectrum = _char_poly_and_spectrum(a)
     doc = {
         "char_poly": tio.charpoly_to_dict(cp),
         "spectrum": [[r.real, r.imag] for r in spectrum],

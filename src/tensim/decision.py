@@ -22,17 +22,21 @@ floating-point value passes through it.  A candidate is accepted only if it
 rebuilds every nonzero of ``B`` within the relative tolerance: that test,
 not the solve, is the acceptance authority.
 
-The candidates ``sigma`` come from a backtracking search over relabelings of
-the zero pattern that checks each search node incrementally, against only
-the nonzeros the newest label completes.  The search is also masked by
+The candidates ``sigma`` are the relabelings of the zero pattern.  Colour
+refinement of the two patterns together, on their disjoint union (the
+refinement the canonical hash uses), leaves each label of ``B`` only the
+labels of ``A`` of its own colour.  The candidates are also masked by
 values: a diagonal position has net exponent zero, so it is a fixed point
 of every scaling, and ``b[v..v]`` can only come from an ``a[w..w]`` equal
 to it within the acceptance tolerance (the mask is exact for tolerances well
 above ``1e-13``; below that, rounding of the rebuild can exceed the mask's
-margin).  Dense tensors whose diagonal entries are pairwise distinct beyond
-twice the tolerance so cost one solve instead of ``n!``; repeated diagonal
-values leave several candidates per label, and their search still grows
-with ``n!``.
+margin).  When one candidate per label is left, the single relabeling is
+checked with one gather over the nonzeros; otherwise a backtracking search
+over the candidates checks each search node incrementally, against only the
+nonzeros the newest label completes.  Dense tensors whose diagonal entries
+are pairwise distinct beyond twice the tolerance so cost one gather and one
+solve instead of ``n!``; repeated diagonal values leave several candidates
+per label, and their search still grows with ``n!``.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -60,6 +64,48 @@ DECISION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 
 
+def _refine(col: np.ndarray, j: np.ndarray, n: int) -> np.ndarray | None:
+    """The stable refinement of the colouring ``col`` (colours ``0..c-1``)
+    of the labels of ``len(col) // n`` hypergraphs on ``n`` labels each:
+    ``j`` lists the nonzeros of their disjoint union, in which hypergraph
+    ``i`` holds the labels ``i*n .. i*n + n - 1``.
+
+    Each round splits every label's colour by the multiset of (slot, colours
+    of the whole tuple) over the nonzeros it occurs in, numbering the new
+    colours in sorted order of (old colour, multiset) (colour refinement in
+    the style of Weisfeiler & Leman 1968).  No step depends on the labels
+    themselves.  Rounds stop at a stable or a discrete (``n`` colours)
+    colouring, or with ``None`` when some colour holds unequal numbers of
+    labels of two hypergraphs: then no relabeling maps one onto another.
+    Colours are below ``n`` wherever tuples are coded, which keeps the sort
+    keys in int64.
+    """
+    m, size = j.shape[1], len(col)
+    labels = j.ravel()
+    span = m * n**m  # (colours of the tuple, slot) as one integer below this
+    # byte range of each label's occurrences once sorted by label
+    ends = (8 * np.cumsum(np.bincount(labels, minlength=size))).tolist()
+    starts = [0] + ends[:-1]
+    side = np.arange(size) // n
+    ncol = int(col.max()) + 1
+    while True:
+        counts = np.bincount(side * ncol + col, minlength=size // n * ncol).reshape(-1, ncol)
+        if (counts != counts[0]).any():
+            return None
+        if ncol == n:
+            return col
+        codes = np.ravel_multi_index(tuple(col[j].T), (n,) * m)
+        occ = (codes[:, None] * m + np.arange(m)).ravel()
+        # big-endian bytes compare as the integers do
+        sig = (np.sort(labels * span + occ) % span).astype(">u8").tobytes()
+        head = col.astype(">u8")
+        words = [head[v].tobytes() + sig[starts[v] : ends[v]] for v in range(size)]
+        rank = {w: i for i, w in enumerate(sorted(set(words)))}
+        if len(rank) == ncol:
+            return col
+        col, ncol = np.array([rank[w] for w in words]), len(rank)
+
+
 def pattern_permutations(
     a: Tensor, b: Tensor, *, allowed: np.ndarray | None = None
 ) -> Iterator[Permutation]:
@@ -67,15 +113,21 @@ def pattern_permutations(
     ``b``: ``b[t] != 0`` iff ``a[pi(t_1), ..., pi(t_m)] != 0`` for every
     position ``t``.  The patterns are read from the nonzero lists alone.
 
-    Backtracks over partial assignments in lexicographic order of the image
-    tuple, pruning candidates whose per-vertex statistics disagree: the
-    number of nonzeros led by the vertex, and the number of nonzero positions
-    in which the vertex occurs among the trailing indices.  ``allowed``, a
-    boolean ``n x n`` mask, further restricts label ``v`` of ``b`` (0-based)
-    to the labels ``w`` of ``a`` with ``allowed[v][w]``; the result is the
-    unmasked sequence with the excluded permutations dropped.
+    The labels of ``a`` and ``b`` are coloured jointly by :func:`_refine` on
+    the disjoint union of the two nonzero lists, starting from per-label
+    statistics: the number of nonzeros the label leads, and the number in
+    which it occurs among the trailing indices.  Every relabeling maps each
+    label of ``b`` to a label of ``a`` of the same colour, so there is none
+    when some colour holds unequal numbers of labels of ``a`` and ``b``.
+    ``allowed``, a boolean ``n x n`` mask, further restricts label ``v`` of
+    ``b`` (0-based) to the labels ``w`` of ``a`` with ``allowed[v][w]``; the
+    result is the unmasked sequence with the excluded permutations dropped.
 
-    Each node of the search is checked incrementally.  Assigning ``pi(v) = w``
+    When every label is left one candidate, that single relabeling is
+    checked with one gather: it must be injective and map every nonzero of
+    ``b`` onto a nonzero of ``a``.  Otherwise the search backtracks over
+    partial assignments in lexicographic order of the image tuple, and each
+    node of the search is checked incrementally.  Assigning ``pi(v) = w``
     completes the nonzeros of ``b`` whose largest label is ``v``, and each
     must map onto a nonzero of ``a``; it completes the nonzeros of ``a``
     that contain ``w`` and whose other labels are already images, and there
@@ -89,22 +141,32 @@ def pattern_permutations(
     if len(ja) != len(jb):
         return
     n = a.dim
+    allowed = np.ones((n, n), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
+    if allowed.shape != (n, n):
+        raise ShapeError(f"allowed mask must have shape ({n}, {n})")
 
-    def tail_counts(j: np.ndarray) -> np.ndarray:
-        """Per label, the nonzeros in which it occurs among the trailing indices."""
+    def statistics(j: np.ndarray) -> np.ndarray:
+        """Per label, the nonzeros it leads and the nonzeros in which it
+        occurs among the trailing indices, packed into one integer."""
         tails = np.sort(j[:, 1:], axis=1)
         first = np.ones(tails.shape, dtype=bool)
         first[:, 1:] = tails[:, 1:] != tails[:, :-1]
-        return np.bincount(tails[first], minlength=n)
+        heads = np.bincount(j[:, 0], minlength=n)
+        return heads * (len(j) + 1) + np.bincount(tails[first], minlength=n)
 
-    ok = np.bincount(jb[:, 0], minlength=n)[:, None] == np.bincount(ja[:, 0], minlength=n)
-    ok &= tail_counts(jb)[:, None] == tail_counts(ja)
-    if allowed is not None:
-        allowed = np.asarray(allowed, dtype=bool)
-        if allowed.shape != (n, n):
-            raise ShapeError(f"allowed mask must have shape ({n}, {n})")
-        ok &= allowed
-    if not ok.any(axis=1).all():
+    # labels 0..n-1 are a's, n..2n-1 are b's
+    _, col = np.unique(np.concatenate([statistics(ja), statistics(jb)]), return_inverse=True)
+    col = _refine(col, np.vstack([ja, jb + n]), n)
+    if col is None:
+        return
+    ok = (col[n:, None] == col[:n]) & allowed
+    counts = ok.sum(axis=1)
+    if not counts.all():
+        return
+    if (counts == 1).all():
+        pi = ok.argmax(axis=1)
+        if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
+            yield Permutation(tuple((pi + 1).tolist()))
         return
     candidates = [np.flatnonzero(row).tolist() for row in ok]
 
@@ -418,18 +480,14 @@ def canonical_pattern_hash(a: Tensor) -> str:
 
     The nonzero tuples form an ordered ``m``-uniform hypergraph on the labels,
     and the canonical labelling is found by individualization-refinement
-    (McKay & Piperno 2014, "Practical graph isomorphism, II").  Refinement
-    splits each label's colour by the multiset of (slot, colours of the
-    whole tuple) over the nonzeros it occurs in, numbering the new colours in
-    sorted order of (old colour, multiset), until the colouring is stable
-    (colour refinement in the style of Weisfeiler & Leman 1968).  The search
-    splits the first non-singleton cell by trying each label in it, and
-    refines again.  At a leaf every label has its own colour, and the
-    certificate is the sorted list of relabeled nonzero tuples.  No step
-    depends on the labels themselves, so the smallest certificate over the
-    leaves is the same for every relabeling of the pattern, and it spells
-    out one relabeling of it.  The hash is the sha256 of the order, the
-    dimension and that certificate.
+    (McKay & Piperno 2014, "Practical graph isomorphism, II"), with the
+    colour refinement of :func:`_refine`.  The search splits the first
+    non-singleton cell by trying each label in it, and refines again.  At a
+    leaf every label has its own colour, and the certificate is the sorted
+    list of relabeled nonzero tuples.  No step depends on the labels
+    themselves, so the smallest certificate over the leaves is the same for
+    every relabeling of the pattern, and it spells out one relabeling of it.
+    The hash is the sha256 of the order, the dimension and that certificate.
 
     Children with equal subtrees are skipped: those in the orbit of a child
     already tried under the automorphisms found that fix the node's
@@ -442,31 +500,11 @@ def canonical_pattern_hash(a: Tensor) -> str:
     """
     m, n = a.order, a.dim
     j = np.argwhere(a.data != 0)
-    labels = j.ravel()
-    slots = np.tile(np.arange(m), len(j))
-    span = m * n**m  # (colours of the tuple, slot) as one integer below this
-    # byte range of each label's occurrences once sorted by label
-    ends = (8 * np.cumsum(np.bincount(labels, minlength=n))).tolist()
-    starts = [0] + ends[:-1]
 
     def relabeled(col: np.ndarray) -> np.ndarray:
         """Row-major codes of the nonzero tuples with each label replaced by
         its colour."""
         return np.ravel_multi_index(tuple(col[j].T), (n,) * m)
-
-    def refine(col: np.ndarray) -> np.ndarray:
-        """The stable refinement of the colouring ``col`` (colours 0..c-1)."""
-        ncol = int(col.max()) + 1
-        while True:
-            occ = np.repeat(relabeled(col) * m, m) + slots
-            # big-endian bytes compare as the integers do
-            sig = (np.sort(labels * span + occ) % span).astype(">u8").tobytes()
-            head = col.astype(">u8")
-            words = [head[v].tobytes() + sig[starts[v] : ends[v]] for v in range(n)]
-            rank = {w: i for i, w in enumerate(sorted(set(words)))}
-            if len(rank) == ncol:
-                return col
-            col, ncol = np.array([rank[w] for w in words]), len(rank)
 
     own = np.sort(relabeled(np.arange(n)))
     first = best = None  # (certificate, labels in colour order, path)
@@ -529,7 +567,7 @@ def canonical_pattern_hash(a: Tensor) -> str:
     stack: list[tuple[np.ndarray, int, list[int], Iterator[int]]] = []  # one node per depth
 
     def visit(col: np.ndarray, path: list[int]) -> None:
-        col = refine(col)
+        col = _refine(col, j, n)
         sizes = np.bincount(col)
         if sizes.size < n:
             x = int(np.flatnonzero(sizes > 1)[0])

@@ -98,13 +98,7 @@ def char_poly_dim2(a: Tensor) -> CharPoly:
     ``2m - 1``).  Order 2 gives the matrix characteristic polynomial
     ``lambda^2 - tr(A) lambda + det(A)`` in closed form.
     """
-    s = _sylvester_matrix(a)
-    if a.order == 2:
-        m = a.data
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        return CharPoly((complex(det), complex(-tr), 1.0 + 0j))
-    return CharPoly(tuple(complex(c) for c in np.poly(s)[::-1]))
+    return _char_poly_and_spectrum(a)[0]
 
 
 def _cluster_roots(roots: np.ndarray, tol: float) -> np.ndarray:
@@ -133,11 +127,27 @@ def spectrum_dim2(a: Tensor, cluster_tol: float = _CLUSTER_TOL) -> list[complex]
     """Root multiset of the characteristic polynomial, canonically sorted
     (by real part, then imaginary part): the ``2*(m-1)`` eigenvalues of the
     Sylvester matrix, with near-coincident ones clustered."""
+    return _char_poly_and_spectrum(a, cluster_tol)[1]
+
+
+def _char_poly_and_spectrum(
+    a: Tensor, cluster_tol: float = _CLUSTER_TOL
+) -> tuple[CharPoly, list[complex]]:
+    """:func:`char_poly_dim2` and :func:`spectrum_dim2` from one eigenvalue
+    computation of the Sylvester matrix."""
     roots = np.linalg.eigvals(_sylvester_matrix(a))
+    if a.order == 2:
+        m = a.data
+        tr = m[0, 0] + m[1, 1]
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        cp = CharPoly((complex(det), complex(-tr), 1.0 + 0j))
+    else:
+        # np.poly(S) is np.poly(eigvals(S))
+        cp = CharPoly(tuple(complex(c) for c in np.poly(roots)[::-1]))
     radius = cluster_tol * (1.0 + float(np.max(np.abs(roots))))
     roots = _cluster_roots(roots, radius)
     order = np.lexsort((roots.imag, roots.real))
-    return [complex(r) for r in roots[order]]
+    return cp, [complex(r) for r in roots[order]]
 
 
 def eigen_residual(a: Tensor, lam: complex, x) -> float:

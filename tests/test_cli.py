@@ -12,6 +12,7 @@ from tensim import (
     Permutation,
     StructuredWitness,
     Tensor,
+    char_poly_dim2,
     clean,
     compose_witness,
     diagonal_tensor,
@@ -22,6 +23,7 @@ from tensim import (
     unit_tensor,
 )
 from tensim import io as tio
+from tensim import spectral
 from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
@@ -286,6 +288,27 @@ class TestCharpolyCommand:
         assert len(roots) == 14
         expected = spectrum_dim2(a)
         assert spectra_match(roots, expected, atol=1e-6 * max(1.0, max(map(abs, expected))))
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_one_sylvester_matrix_per_command(self, tmp_path, monkeypatch, order):
+        built = []
+        sylvester = spectral._sylvester_matrix
+
+        def counted(a):
+            built.append(a)
+            return sylvester(a)
+
+        monkeypatch.setattr(spectral, "_sylvester_matrix", counted)
+        a = random_tensor(np.random.default_rng(order), order, 2)
+        write_tensor(a, tmp_path / "a.json")
+        code, out, _ = run_cli(["charpoly", str(tmp_path / "a.json")])
+        assert code == 0
+        assert len(built) == 1
+        doc = json.loads(out)
+        monkeypatch.undo()
+        cp = tio.charpoly_to_dict(char_poly_dim2(a))
+        assert doc["char_poly"] == json.loads(json.dumps(cp))
+        assert doc["spectrum"] == [[r.real, r.imag] for r in spectrum_dim2(a)]
 
 
 class TestOutputFiles:

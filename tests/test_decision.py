@@ -59,6 +59,49 @@ def brute_force_pattern_perms(za, zb):
     return found
 
 
+def brute_force_masked(za, zb, allowed=None):
+    """The n! loop with one gather per permutation, optionally masked:
+    label ``v`` of ``zb`` may map only to ``w`` with ``allowed[v, w]``."""
+    pa, pb = za.data != 0, zb.data != 0
+    found = []
+    for images in itertools.permutations(range(za.dim)):
+        idx = np.asarray(images)
+        if allowed is not None and not allowed[np.arange(za.dim), idx].all():
+            continue
+        if np.array_equal(pa[np.ix_(*([idx] * za.order))], pb):
+            found.append(Permutation(tuple(int(w) + 1 for w in idx)))
+    return found
+
+
+def label_statistics(z):
+    """Per label: the nonzeros it leads, and the nonzeros in whose trailing
+    indices it occurs."""
+    stats = [[0, 0] for _ in range(z.dim)]
+    for head, *tail in np.argwhere(z.data != 0).tolist():
+        stats[head][0] += 1
+        for v in set(tail):
+            stats[v][1] += 1
+    return [tuple(s) for s in stats]
+
+
+def tied_pattern(rng, m, n):
+    """Each label leads one nonzero and occurs among the trailing indices of
+    ``m - 1`` others, at random slots: the statistics of all labels tie."""
+    while True:
+        tails = rng.permutation(np.repeat(np.arange(n), m - 1)).reshape(n, m - 1)
+        if all(len(set(t)) == m - 1 for t in tails.tolist()):
+            data = np.zeros((n,) * m)
+            data[(np.arange(n), *tails.T)] = 1
+            return Tensor(data)
+
+
+def refined(*patterns):
+    """The joint stable colouring of the patterns' labels, or ``None``."""
+    n = patterns[0].dim
+    j = np.vstack([np.argwhere(z.data != 0) + i * n for i, z in enumerate(patterns)])
+    return decision._refine(np.zeros(len(patterns) * n, dtype=np.intp), j, n)
+
+
 class TestPatternPermutations:
     def test_unit_pattern_full_symmetry(self):
         z = zero_pattern(unit_tensor(3, 2))
@@ -154,6 +197,81 @@ class TestPatternPermutations:
         z = zero_pattern(unit_tensor(3, 3))
         with pytest.raises(ShapeError):
             list(pattern_permutations(z, z, allowed=np.ones((3, 2), bool)))
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (3, 6), (3, 7), (4, 5), (4, 6)])
+    def test_tied_statistics_separated_by_refinement(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        for _ in range(3):
+            za = tied_pattern(rng, m, n)
+            assert len(set(label_statistics(za))) == 1
+            assert len(set(refined(za).tolist())) > 1
+            perm = rng.permutation(n)
+            zb = relabeled(za, perm)
+            got = list(pattern_permutations(za, zb))
+            assert got == brute_force_masked(za, zb)
+            assert Permutation(tuple(int(w) + 1 for w in perm)) in got
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (3, 6), (3, 7), (4, 5), (4, 6)])
+    def test_unequal_refined_classes_yield_nothing(self, m, n):
+        rng = np.random.default_rng(20 * m + n)
+        unequal = 0
+        for _ in range(5):
+            za, zb = tied_pattern(rng, m, n), tied_pattern(rng, m, n)
+            assert label_statistics(za) == label_statistics(zb)
+            got = list(pattern_permutations(za, zb))
+            assert got == brute_force_masked(za, zb)
+            if refined(za, zb) is None:
+                assert got == []
+                unequal += 1
+        assert unequal >= 3
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (3, 6), (3, 7), (4, 5), (4, 6)])
+    def test_forced_relabeling_checked_against_every_nonzero(self, m, n):
+        # distinct statistics give one candidate per label before any
+        # refinement round; moving a slot between two nonzeros keeps the
+        # statistics but breaks the pattern, and the one relabeling must fail
+        rng = np.random.default_rng(30 * m + n)
+        found = 0
+        for _ in range(200):
+            za = zero_pattern(random_tensor(rng, m, n, density=0.25))
+            stats = label_statistics(za)
+            j = np.argwhere(za.data != 0)
+            if len(set(stats)) < n or len(j) < 2:
+                continue
+            p, q = rng.choice(len(j), 2, replace=False)
+            k = j.copy()
+            k[[p, q], 1] = j[[q, p], 1]
+            data = np.zeros(za.shape)
+            data[tuple(k.T)] = 1
+            if np.count_nonzero(data) < len(j) or np.array_equal(data != 0, za.data != 0):
+                continue
+            zb = relabeled(Tensor(data), rng.permutation(n))
+            if sorted(label_statistics(zb)) != sorted(stats):
+                continue
+            assert list(pattern_permutations(za, zb)) == brute_force_masked(za, zb) == []
+            found += 1
+        assert found >= 3
+
+    @pytest.mark.parametrize(
+        "kind, m, n",
+        [("dense", 3, 5), ("dense", 3, 6), ("unit", 3, 6), ("unit", 3, 7), ("unit", 4, 5)],
+    )
+    def test_dense_and_unit_patterns_under_masks(self, kind, m, n):
+        shape = (n,) * m
+        z = Tensor(np.ones(shape)) if kind == "dense" else zero_pattern(unit_tensor(m, n))
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(n)
+        single = np.eye(n, dtype=bool)[perm]  # one candidate per label
+        collide = single.copy()
+        collide[1] = collide[0]  # one candidate per label, two labels share it
+        masks = [rng.uniform(size=(n, n)) < p for p in (0.3, 0.6)] + [single, collide]
+        for allowed in masks:
+            got = list(pattern_permutations(z, z, allowed=allowed))
+            assert got == brute_force_masked(z, z, allowed)
+        assert list(pattern_permutations(z, z, allowed=single)) == [
+            Permutation(tuple(int(w) + 1 for w in perm))
+        ]
+        assert list(pattern_permutations(z, z, allowed=collide)) == []
 
 
 class TestSolveDiagonal:
@@ -261,6 +379,31 @@ class TestScalingRegressions:
         rebuilt = structured_transform(a, StructuredWitness(sigma, got, 3))
         assert max_abs_diff(rebuilt, b) <= 1e-8 * max(1.0, float(np.max(np.abs(b.data))))
         assert decide_similar(a, a) is not None
+
+
+class TestTiedStatistics:
+    """Forward pairs from the package's generators in which some label of
+    ``b`` shares its statistics with more than one label of ``a``: the
+    joint refinement must keep the generating relabeling."""
+
+    @pytest.mark.parametrize(
+        "m, n, density, seeds", [(3, 40, 0.05, (1, 3, 11)), (3, 60, 0.02, (0, 3))]
+    )
+    def test_decided_with_the_generating_sigma(self, m, n, density, seeds):
+        tied = 0
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            a = random_tensor(rng, m, n, density=density)
+            w = random_structured_witness(rng, m, n)
+            b = clean(structured_transform(a, w))
+            stats = label_statistics(a)
+            tied = max(tied, max(stats.count(s) for s in label_statistics(b)))
+            got = decide_similar(a, b)
+            assert got is not None
+            assert got.sigma == w.sigma
+            scale = max(1.0, float(np.max(np.abs(b.data))))
+            assert max_abs_diff(structured_transform(a, got), b) <= 1e-8 * scale
+        assert tied >= 2
 
 
 def perturbed(b, position, factor):
