@@ -12,7 +12,7 @@ is a pure function and safe to call concurrently.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -192,54 +192,10 @@ def is_generalized_permutation(m: Tensor) -> bool:
     return bool(np.all(mask.sum(axis=0) == 1) and np.all(mask.sum(axis=1) == 1))
 
 
-def is_permutation_matrix(m: Tensor) -> bool:
-    """Generalized permutation matrix whose nonzero entries all equal 1."""
-    data = _matrix_data(m)
-    if not is_generalized_permutation(m):
-        return False
-    return bool(np.all(data[data != 0] == 1))
-
-
 def is_diagonal_matrix(m: Tensor) -> bool:
     data = _matrix_data(m)
     off = data[~np.eye(m.dim, dtype=bool)]
     return not np.any(off)
-
-
-def is_invertible(m: Tensor, tol: float = 1e-10) -> bool:
-    """True iff the smallest singular value exceeds ``tol``."""
-    data = _matrix_data(m)
-    smin = np.linalg.svd(data, compute_uv=False)[-1]
-    return bool(smin > tol)
-
-
-# ---------------------------------------------------------------------------
-# Multi-index linearization (1-based external convention)
-# ---------------------------------------------------------------------------
-
-
-def multi_index_to_offset(index: Iterable[int], order: int, dim: int) -> int:
-    """Row-major offset of a 1-based multi-index, ``i_1`` most significant."""
-    idx = tuple(index)
-    if len(idx) != order:
-        raise ShapeError(f"expected {order} components, got {len(idx)}")
-    offset = 0
-    for c in idx:
-        if not 1 <= c <= dim:
-            raise ShapeError(f"index component {c} outside [1, {dim}]")
-        offset = offset * dim + (c - 1)
-    return offset
-
-
-def offset_to_multi_index(offset: int, order: int, dim: int) -> tuple[int, ...]:
-    """Inverse of :func:`multi_index_to_offset`."""
-    if not 0 <= offset < dim**order:
-        raise ShapeError(f"offset {offset} outside [0, {dim ** order})")
-    out = []
-    for _ in range(order):
-        out.append(offset % dim + 1)
-        offset //= dim
-    return tuple(reversed(out))
 
 
 # ---------------------------------------------------------------------------

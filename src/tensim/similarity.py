@@ -11,6 +11,11 @@ so a witness is equivalently the structured pair ``(sigma, D)``.  This module
 provides both representations, conversions between them, the elementary
 transforms (permutation relabeling and diagonal scaling), and executable
 checks of the identities every unit-preserving pair satisfies.
+
+The checks build no unit tensor.  Since ``(I Q)[i, b] = q[i, b_1] ... q[i, b_{m-1}]``,
+``P (I Q)`` is ``P M`` on the constant tails ``b = (c, ..., c)``, where ``M[i, c] =
+q[i, c]^(m-1)`` is the majorization matrix of ``I Q``; other tails are nonzero only on
+``S_i^(m-1)``, ``S_i`` the support of row ``i`` of ``Q``, and only those are enumerated.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Tensor, majorization_matrix, max_abs_diff, unit_tensor
-from .errors import OrderError, ShapeError, WitnessError
-from .product import general_product, left_matrix_product, right_matrix_product
+from .core import DEFAULT_ENTRY_LIMIT, Tensor, max_abs_diff
+from .errors import EntryLimitError, OrderError, ShapeError, WitnessError
+from .product import left_matrix_product, right_matrix_product
 
 #: Magnitude threshold for structural detection (which entries count as "the"
 #: nonzero of a generalized permutation row).
@@ -32,6 +37,8 @@ COMPARE_TOL = 1e-9
 
 #: Diagonal entries smaller than this are treated as zero (not invertible).
 _MIN_DIAGONAL_MAGNITUDE = 1e-300
+
+_MAX_ORDER = 64  #: numpy's rank limit: no tensor of a higher order exists.
 
 
 def _int_pow(values: np.ndarray, exponent: int) -> np.ndarray:
@@ -92,8 +99,7 @@ class Permutation:
 
     def matrix(self) -> Tensor:
         data = np.zeros((self.n, self.n), dtype=np.complex128)
-        for i, img in enumerate(self.images, start=1):
-            data[i - 1, img - 1] = 1.0
+        data[np.arange(self.n), self.zero_based()] = 1.0
         return Tensor(data)
 
     def zero_based(self) -> np.ndarray:
@@ -153,8 +159,8 @@ class Witness:
             raise OrderError("witness members must be matrices")
         if self.p.dim != self.q.dim:
             raise ShapeError("witness matrices must share their dimension")
-        if self.m < 2:
-            raise OrderError("witness order must be at least 2")
+        if not 2 <= self.m <= _MAX_ORDER:
+            raise OrderError(f"witness order must be between 2 and {_MAX_ORDER}")
 
     @property
     def dim(self) -> int:
@@ -170,8 +176,8 @@ class StructuredWitness:
     m: int
 
     def __post_init__(self):
-        if self.m < 3:
-            raise OrderError("structured witnesses exist only for order >= 3")
+        if not 3 <= self.m <= _MAX_ORDER:
+            raise OrderError(f"structured witnesses exist only for order 3 to {_MAX_ORDER}")
         if self.sigma.n != self.d.n:
             raise ShapeError("permutation and scaling sizes differ")
 
@@ -180,31 +186,55 @@ class StructuredWitness:
         return self.sigma.n
 
 
+def _unit_image_residuals(w: Witness) -> tuple[float, float, float]:
+    """``(unit_deviation, tail_max, majorization_residual)`` of ``P (I Q)``, tails in chunks."""
+    n, m, p, q = w.dim, w.m, w.p.data, w.q.data
+    maj = np.max(np.abs(p @ _int_pow(q, m - 1) - np.eye(n)))
+    support = q != 0
+    counts = support.sum(axis=1)
+    # as in io: 2**e is already over the limit, and a huge m builds no huge integer
+    e = min(m - 1, DEFAULT_ENTRY_LIMIT.bit_length())
+    if sum(int(r) ** e for r in counts) > DEFAULT_ENTRY_LIMIT:
+        raise EntryLimitError(f"the rows of Q span over {DEFAULT_ENTRY_LIMIT} tails of order {m}")
+    tail = dev = np.float64(0.0)
+    done = np.zeros((0, n), dtype=bool)  # supports already enumerated
+    for row in {r.tobytes(): r for r in support[counts > 1]}.values():
+        s = np.flatnonzero(row)
+        total, step = s.size ** (m - 1), max(1, 2**20 // (n * m))
+        for k in (np.arange(i, min(i + step, total)) for i in range(0, total, step)):
+            b = s[np.stack(np.unravel_index(k, (s.size,) * (m - 1)))]
+            # the non-constant tails that no earlier support holds
+            b = b[:, (b != b[0]).any(axis=0) & ~done[:, b].all(axis=1).any(axis=0)]
+            c = np.prod(q[:, b], axis=1)  # (I Q)[i, b] for every row i
+            tail = np.maximum(tail, np.abs(c).max(initial=0.0))
+            dev = np.maximum(dev, np.abs(p @ c).max(initial=0.0))
+        done = np.vstack([done, row])
+    return float(np.maximum(maj, dev)), float(tail), float(maj)
+
+
 def check_unit_preserving(w: Witness, tol: float = STRUCTURAL_TOL) -> bool:
-    """True iff ``P (I Q)`` equals the unit tensor of order ``w.m`` within ``tol``."""
-    ident = unit_tensor(w.m, w.dim)
-    image = left_matrix_product(w.p, general_product(ident, w.q))
-    return max_abs_diff(image, ident) <= tol
+    """True iff ``P (I Q)`` equals the unit tensor of order ``w.m`` within ``tol``.
+
+    On constant tails ``P (I Q)`` is ``P M``, ``M[i, c] = q[i, c]^(m-1)``; the other
+    tails are enumerated over the row supports ``S_i`` of ``Q``.  Past ``DEFAULT_ENTRY_LIMIT``
+    tuples, ``sum_i |S_i|^(m-1)``, it raises :class:`EntryLimitError`.
+    """
+    return _unit_image_residuals(w)[0] <= tol
 
 
 def compose_witness(s: StructuredWitness) -> Witness:
     """Realize ``(sigma, D)`` as the matrix pair ``Q = D R_sigma``,
     ``P = R_sigma^T D^(1-m)``.  The result is always unit preserving."""
-    n, m = s.dim, s.m
-    d = s.d.values
-    d_inv_pow = _int_pow(d, 1 - m)
-    q = np.zeros((n, n), dtype=np.complex128)
-    p = np.zeros((n, n), dtype=np.complex128)
-    for i in range(1, n + 1):
-        q[i - 1, s.sigma(i) - 1] = d[i - 1]
-        p[s.sigma(i) - 1, i - 1] = d_inv_pow[i - 1]
-    return Witness(Tensor(p), Tensor(q), m)
+    rows, cols = np.arange(s.dim), s.sigma.zero_based()
+    q = np.zeros((s.dim, s.dim), dtype=np.complex128)
+    p = np.zeros_like(q)
+    q[rows, cols] = s.d.values
+    p[cols, rows] = _int_pow(s.d.values, 1 - s.m)
+    return Witness(Tensor(p), Tensor(q), s.m)
 
 
 def decompose_witness(
-    w: Witness,
-    structural_tol: float = STRUCTURAL_TOL,
-    compare_tol: float = COMPARE_TOL,
+    w: Witness, structural_tol: float = STRUCTURAL_TOL, compare_tol: float = COMPARE_TOL
 ) -> StructuredWitness:
     """Recover ``(sigma, D)`` from a unit-preserving pair with ``m >= 3``.
 
@@ -283,28 +313,12 @@ def witness_structure_report(w: Witness, tol: float = STRUCTURAL_TOL) -> Witness
     Unlike :func:`decompose_witness` this never raises on a failing witness;
     it reports what holds and what does not.
     """
-    n, m = w.dim, w.m
-    ident = unit_tensor(m, n)
-    image = general_product(ident, w.q)
-    unit_dev = max_abs_diff(left_matrix_product(w.p, image), ident)
-
-    off = image.data.copy()
-    off[(slice(None),) + (np.arange(n),) * (m - 1)] = 0  # positions (i, j, ..., j)
-    tail_max = float(np.max(np.abs(off)))
-
-    maj = np.max(
-        np.abs(w.p.data @ majorization_matrix(image).data - np.eye(n, dtype=np.complex128))
-    )
+    unit_dev, tail_max, maj = _unit_image_residuals(w)
     return WitnessStructureReport(
-        m=m,
-        dim=n,
-        tol=tol,
-        unit_preserving=unit_dev <= tol,
-        unit_deviation=float(unit_dev),
-        tail_max=tail_max,
-        tail_ok=tail_max <= tol,
-        majorization_residual=float(maj),
-        majorization_ok=float(maj) <= tol,
+        m=w.m, dim=w.dim, tol=tol,
+        unit_preserving=unit_dev <= tol, unit_deviation=unit_dev,
+        tail_max=tail_max, tail_ok=tail_max <= tol,
+        majorization_residual=maj, majorization_ok=maj <= tol,
     )
 
 
@@ -349,20 +363,12 @@ def diagonal_transform(a: Tensor, scaling: DiagonalScaling) -> Tensor:
 
 
 def general_transform(a: Tensor, w: Witness, tol: float = STRUCTURAL_TOL) -> Tensor:
-    """Apply a witness: ``B = P (A Q)``.
-
-    For ``m >= 3`` the pair must be unit preserving; for ``m = 2`` the weaker
-    classical requirement ``P Q = I`` applies (any invertible pair).
-    """
+    """Apply a unit-preserving witness, ``B = P (A Q)``; at ``m = 2`` that means ``P Q = I``."""
     if a.order != w.m:
         raise ShapeError(f"witness is for order {w.m}, tensor has order {a.order}")
     if a.dim != w.dim:
         raise ShapeError("witness dimension does not match tensor dimension")
-    if w.m == 2:
-        pq = w.p.data @ w.q.data
-        if np.max(np.abs(pq - np.eye(w.dim))) > tol:
-            raise WitnessError("order-2 transform requires P Q = I")
-    elif not check_unit_preserving(w, tol):
+    if not check_unit_preserving(w, tol):
         raise WitnessError("witness is not unit preserving")
     return left_matrix_product(w.p, right_matrix_product(a, w.q))
 
@@ -375,13 +381,10 @@ def structured_transform(a: Tensor, s: StructuredWitness) -> Tensor:
     Matches :func:`general_transform` on ``compose_witness(s)`` up to
     floating-point noise.
     """
-    c = diagonal_transform(a, s.d)
-    return permutation_transform(c, s.sigma.inverse())
+    return permutation_transform(diagonal_transform(a, s.d), s.sigma.inverse())
 
 
-def factor_similarity(
-    a: Tensor, w: Witness
-) -> tuple[Tensor, Permutation, DiagonalScaling]:
+def factor_similarity(a: Tensor, w: Witness) -> tuple[Tensor, Permutation, DiagonalScaling]:
     """Split the similarity ``B = P A Q`` through the intermediate tensor
     ``C = D^(1-m) A D``: diagonal similarity takes ``A`` to ``C`` and the pure
     relabeling ``R_sigma^T C R_sigma`` takes ``C`` to ``B``.
@@ -390,8 +393,7 @@ def factor_similarity(
     :func:`decompose_witness`.
     """
     s = decompose_witness(w)
-    c = diagonal_transform(a, s.d)
-    return c, s.sigma, s.d
+    return diagonal_transform(a, s.d), s.sigma, s.d
 
 
 def witness_products(w: Witness) -> tuple[Tensor, Tensor]:
@@ -401,6 +403,4 @@ def witness_products(w: Witness) -> tuple[Tensor, Tensor]:
     ``P Q = R_sigma^T D^(2-m) R_sigma``.
     """
     decompose_witness(w)  # enforces m >= 3 and the structural preconditions
-    qp = Tensor(w.q.data @ w.p.data)
-    pq = Tensor(w.p.data @ w.q.data)
-    return qp, pq
+    return Tensor(w.q.data @ w.p.data), Tensor(w.p.data @ w.q.data)

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from tensim.core import Tensor
+from tensim.core import Tensor, majorization_matrix, max_abs_diff, unit_tensor
+from tensim.product import general_product, left_matrix_product
 
 
 def naive_general_product(a: Tensor, b: Tensor) -> Tensor:
@@ -32,6 +33,32 @@ def naive_general_product(a: Tensor, b: Tensor) -> Tensor:
             flat_alpha = tuple(c for block in alpha for c in block)
             out[(i,) + flat_alpha] = total
     return Tensor(out)
+
+
+def dense_witness_report(p: Tensor, q: Tensor, m: int, tol: float) -> dict:
+    """The fields of ``WitnessStructureReport.to_dict`` from the dense image
+    ``P (I Q)``: the unit tensor of order ``m``, two general products, and the
+    entries of ``I Q`` off the constant tails, all ``n**m`` of them."""
+    n = q.dim
+    ident = unit_tensor(m, n)
+    image = general_product(ident, q)
+    unit_dev = max_abs_diff(left_matrix_product(p, image), ident)
+    off = image.data.copy()
+    off[(slice(None),) + (np.arange(n),) * (m - 1)] = 0  # positions (i, j, ..., j)
+    tail = float(np.max(np.abs(off)))
+    maj = float(np.max(np.abs(p.data @ majorization_matrix(image).data - np.eye(n))))
+    return {
+        "m": m,
+        "dim": n,
+        "tolerance": tol,
+        "unit_preserving": unit_dev <= tol,
+        "unit_deviation": unit_dev,
+        "tail_zero_max": tail,
+        "tail_zero_ok": tail <= tol,
+        "majorization_residual": maj,
+        "majorization_ok": maj <= tol,
+        "passed": tail <= tol and maj <= tol,
+    }
 
 
 def naive_diagonal_transform(a: Tensor, d: np.ndarray) -> Tensor:

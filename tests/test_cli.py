@@ -1,6 +1,7 @@
 import argparse
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -202,6 +203,34 @@ class TestWitnessCommands:
         )
         assert code == 1
         assert json.loads(out)["decomposed"] is False
+
+    @pytest.mark.parametrize("m, n", [(6, 22), (4, 60)])
+    def test_witness_past_the_dense_limit(self, tmp_path, m, n):
+        s = random_structured_witness(np.random.default_rng(n), m, n)
+        w = compose_witness(s)
+        write_tensor(w.p, tmp_path / "p.json")
+        write_tensor(w.q, tmp_path / "q.json")
+        pair = [str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--m", str(m)]
+        code, out, _ = run_cli(["check-witness", *pair])
+        assert code == 0 and json.loads(out)["passed"] is True
+        code, out, _ = run_cli(["decompose", *pair])
+        assert code == 0 and json.loads(out)["sigma"] == list(s.sigma.images)
+
+    def test_dense_q_over_the_enumeration_limit_is_usage_error(self, tmp_path):
+        write_tensor(Tensor(np.random.default_rng(0).normal(size=(22, 22))), tmp_path / "q.json")
+        q = str(tmp_path / "q.json")
+        for command in ("check-witness", "decompose"):
+            code, out, err = run_cli([command, q, q, "--m", "6"])
+            assert (code, out) == (2, ""), command
+            assert "tails" in err
+
+    def test_huge_order_is_usage_error(self, tmp_path):
+        pair = witness_pair(tmp_path)[:2]
+        start = time.perf_counter()
+        for command in ("check-witness", "decompose"):
+            code, out, _ = run_cli([command, *pair, "--m", "1000000000"])
+            assert (code, out) == (2, ""), command
+        assert time.perf_counter() - start < 1.0
 
 
 class TestDecideCommand:

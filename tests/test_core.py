@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tensim import (
     EntryLimitError,
@@ -15,14 +13,10 @@ from tensim import (
     is_diagonal,
     is_diagonal_matrix,
     is_generalized_permutation,
-    is_invertible,
     is_lower_triangular,
-    is_permutation_matrix,
     is_upper_triangular,
     majorization_matrix,
-    multi_index_to_offset,
     nnz,
-    offset_to_multi_index,
     unit_tensor,
     zero_pattern,
 )
@@ -211,21 +205,16 @@ class TestTriangularPredicates:
 class TestMatrixPredicates:
     def test_permutation_implies_generalized(self):
         p = Tensor([[0, 1], [1, 0]])
-        assert is_permutation_matrix(p)
         assert is_generalized_permutation(p)
 
     def test_generalized_implies_invertible(self):
         g = Tensor([[0, 2], [-3, 0]])
         assert is_generalized_permutation(g)
-        assert not is_permutation_matrix(g)
-        assert is_invertible(g)
+        assert np.linalg.matrix_rank(g.data) == 2
 
     def test_diagonal_matrix(self):
         assert is_diagonal_matrix(Tensor([[2, 0], [0, 3j]]))
         assert not is_diagonal_matrix(Tensor([[2, 1], [0, 3]]))
-
-    def test_singular_not_invertible(self):
-        assert not is_invertible(Tensor([[1, 2], [2, 4]]))
 
     def test_two_entries_in_row(self):
         assert not is_generalized_permutation(Tensor([[1, 1], [0, 1]]))
@@ -237,25 +226,3 @@ class TestDiagonalTensor:
         assert t.data[0, 0, 0] == 2 and t.data[1, 1, 1] == 3
         assert nnz(t) == 2
         assert is_diagonal(t)
-
-
-class TestLinearization:
-    def test_roundtrip_exhaustive(self):
-        for m in range(1, 6):
-            for n in range(1, 7):
-                for offset in range(n**m):
-                    idx = offset_to_multi_index(offset, m, n)
-                    assert multi_index_to_offset(idx, m, n) == offset
-
-    @given(st.integers(1, 5), st.integers(1, 6), st.data())
-    def test_roundtrip_matches_numpy_order(self, m, n, data):
-        idx = tuple(data.draw(st.integers(1, n)) for _ in range(m))
-        offset = multi_index_to_offset(idx, m, n)
-        grid = np.arange(n**m).reshape((n,) * m)
-        assert grid[tuple(i - 1 for i in idx)] == offset
-
-    def test_bounds_checked(self):
-        with pytest.raises(ShapeError):
-            multi_index_to_offset((0, 1), 2, 2)
-        with pytest.raises(ShapeError):
-            offset_to_multi_index(8, 3, 2)

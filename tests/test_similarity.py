@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensim import (
+    STRUCTURAL_TOL,
     DiagonalScaling,
+    EntryLimitError,
     OrderError,
     Permutation,
     ShapeError,
@@ -39,7 +42,12 @@ from tensim.generate import (
     random_unit_preserving_witness,
 )
 
-from reference import naive_diagonal_transform, naive_general_product, naive_relabel
+from reference import (
+    dense_witness_report,
+    naive_diagonal_transform,
+    naive_general_product,
+    naive_relabel,
+)
 
 
 def swap2():
@@ -141,6 +149,17 @@ class TestComposeWitness:
         with pytest.raises(OrderError):
             StructuredWitness(Permutation.identity(2), DiagonalScaling([1.0, 1.0]), 2)
 
+    def test_rejects_order_past_numpy_rank_limit(self):
+        # no tensor of order 65 exists, and a huge order would make the
+        # powers d**(1-m) and q**(m-1) loop m times
+        eye, sigma, d = unit_tensor(2, 2), Permutation.identity(2), DiagonalScaling([1.0, 2.0])
+        assert Witness(eye, eye, 64).m == StructuredWitness(sigma, d, 64).m == 64
+        for m in (65, 10**9):
+            with pytest.raises(OrderError):
+                Witness(eye, eye, m)
+            with pytest.raises(OrderError):
+                StructuredWitness(sigma, d, m)
+
 
 class TestDecomposeWitness:
     def test_identity(self):
@@ -206,6 +225,22 @@ class TestDecomposeWitness:
             decompose_witness(Witness(w.p, Tensor(q_bad.data + 1e-3), 3))
 
 
+def report_cases(rng, m):
+    """Witness pairs for n = 1..5: a true witness, the same with one extra
+    entry of 1e-11 in Q, and random P with Q dense, sparse or with a zero row."""
+    for n in range(1, 6):
+        w = random_unit_preserving_witness(rng, max(m, 3), n)
+        p = np.linalg.inv(w.q.data) if m == 2 else w.p.data
+        near = w.q.data.copy()
+        near[rng.integers(n), rng.integers(n)] += 1e-11
+        dense = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        zero_row = dense.copy()
+        zero_row[rng.integers(n)] = 0
+        for pp, qq in ((p, w.q.data), (p, near), (dense.T, dense),
+                       (dense.conj(), dense * (rng.random((n, n)) < 0.5)), (dense, zero_row)):
+            yield Witness(Tensor(pp), Tensor(qq), m)
+
+
 class TestWitnessStructureReport:
     def test_identity_passes(self):
         eye = unit_tensor(2, 2)
@@ -219,7 +254,7 @@ class TestWitnessStructureReport:
         assert report.tail_max <= 1e-10
         assert report.majorization_residual <= 1e-10
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_bad_pair_fails_tail_check(self, m):
         t = Tensor([[1, 1], [0, 1]])
         report = witness_structure_report(Witness(t, t, m))
@@ -235,12 +270,44 @@ class TestWitnessStructureReport:
             off = [abs(image.data[pos]) for pos in positions if len(set(pos[1:])) > 1]
             tail_max = witness_structure_report(Witness(q, q, m)).tail_max
             assert tail_max == pytest.approx(max(off, default=0.0), rel=1e-12)
+        # every field against the dense image P (I Q), on seeded pairs of each kind
+        for w in report_cases(rng, m):
+            got = witness_structure_report(w).to_dict()
+            for key, ref in dense_witness_report(w.p, w.q, m, STRUCTURAL_TOL).items():
+                if isinstance(ref, bool):
+                    assert got[key] == ref, key
+                else:
+                    assert abs(got[key] - ref) <= 1e-12 * max(1.0, abs(ref)), key
 
     def test_random_composed_all_pass(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             w = random_unit_preserving_witness(rng, int(rng.integers(3, 6)), int(rng.integers(2, 6)))
             assert witness_structure_report(w).passed
+
+
+class TestWitnessChecksPastTheDenseLimit:
+    """A generalized-permutation Q enumerates no tail, so the checks cost
+    O(n**2) where the dense image P (I Q) held n**m entries."""
+
+    @pytest.mark.parametrize("m, n", [(6, 22), (4, 60)])
+    def test_composed_witness_checks_and_decomposes(self, m, n):
+        s = random_structured_witness(np.random.default_rng(n), m, n)
+        w = compose_witness(s)
+        start = time.perf_counter()
+        report = witness_structure_report(w)
+        back = decompose_witness(w)
+        assert time.perf_counter() - start < 0.5
+        assert report.passed and report.unit_preserving and report.tail_max == 0.0
+        assert back.sigma == s.sigma
+        assert np.max(np.abs(back.d.values - s.d.values) / np.abs(s.d.values)) <= 1e-12
+
+    def test_dense_q_is_over_the_enumeration_limit(self):
+        # 22 rows of 22 nonzeros span 22 * 22**5 > 10**8 tails of order 6
+        q = Tensor(np.random.default_rng(0).normal(size=(22, 22)))
+        for check in (check_unit_preserving, witness_structure_report, decompose_witness):
+            with pytest.raises(EntryLimitError):
+                check(Witness(q, q, 6))
 
 
 class TestPermutationTransform:
