@@ -213,13 +213,20 @@ def pattern_permutations(
 # ---------------------------------------------------------------------------
 
 
+def _reduce(m: np.ndarray, rows, top: np.ndarray, c: int) -> np.ndarray:
+    """``m`` with each of ``m[rows]`` less the multiple of the row ``top``, of
+    pivot ``top[c]``, that leaves a remainder in column ``c`` smaller than the
+    pivot.  Entries become Python integers before a product could leave int64."""
+    m[rows, c:] -= (m[rows, c] // top[c])[:, None] * top[c:]
+    if m.dtype != object and np.abs(m[rows, c:]).max(initial=0) >= 2**31:
+        m = m.astype(object)
+    return m
+
+
 def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
     """Row echelon form of the integer matrix ``m`` (overwritten) by
     unimodular row operations, and its pivot columns among the first ``ncols``.
-
-    Each pivot is reached by Euclid's algorithm down its column.  The entries
-    become Python integers before a product could leave int64.
-    """
+    Each pivot is reached by :func:`_reduce` steps down its column."""
     ncols = m.shape[1] if ncols is None else ncols
     pivots: list[int] = []
     c = 0
@@ -236,24 +243,10 @@ def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[
             rest = top + 1 + np.flatnonzero(m[top + 1 :, c])
             if rest.size == 0:
                 break
-            m[rest, c:] -= (m[rest, c] // m[top, c])[:, None] * m[top, c:]
-            if m.dtype != object and np.abs(m[rest, c:]).max() >= 2**31:
-                m = m.astype(object)
+            m = _reduce(m, rest, m[top], c)
         pivots.append(c)
         c += 1
     return m, pivots
-
-
-def _outside(h: np.ndarray, pivots: list[int], rows: np.ndarray) -> np.ndarray:
-    """Which of the integer ``rows`` lie outside the lattice spanned by the
-    echelon form ``h``: those that integer multiples of ``h``'s rows, each
-    leaving a remainder smaller than its pivot, do not reduce to zero."""
-    rows = rows.astype(h.dtype)
-    for i, c in enumerate(pivots):
-        rows[:, c:] -= (rows[:, c] // h[i, c])[:, None] * h[i, c:]
-        if rows.dtype != object and np.abs(rows[:, c:]).max(initial=0) >= 2**31:
-            rows = rows.astype(object)
-    return rows.any(axis=1)
 
 
 class _ScalingSolve:
@@ -265,15 +258,18 @@ class _ScalingSolve:
     slot weights.  A permutation ``sigma`` then asks for ``x = log d`` with
     ``E x = log(b[sigma(j)] / a[j])`` modulo ``2*pi*i`` on every row.
 
-    The build does exact integer work on the exponents only.  It picks rows
-    ``G`` of ``E`` that span the same integer lattice as all of ``E``: the
-    first linearly independent rows in order of size, then, while some row
-    of ``E`` is not an integer combination of ``G``, the first such row.
-    An echelon form ``H = U G`` of ``G`` is a lattice basis whose rows are
-    known integer combinations of rows of ``E``, so the phases of ``H x``
-    follow from those of ``E x``, and ``H x`` in turn fixes the phase of
-    every row of ``E`` modulo ``2*pi``.  The pivot columns ``P`` of ``H``
-    are the labels solved for; the others are the gauge, with ``d = 1``.
+    The build is exact integer work on ``F``, the distinct nonzero rows of
+    ``E`` in order of size, each with its count of nonzeros of ``A``.  It
+    picks rows ``G`` of ``F`` that span the same integer lattice as all of
+    ``E``: the first linearly independent rows, then, while some row of ``F``
+    is not an integer combination of ``G``, the first such row.  An echelon
+    form ``H = U G`` of ``G`` is a lattice basis whose rows are known integer
+    combinations of rows of ``E``, so the phases of ``H x`` follow from those
+    of ``E x``, and ``H x`` in turn fixes the phase of every row of ``E``
+    modulo ``2*pi``.  The pivot columns ``P`` of ``H`` are the labels solved
+    for; the others are the gauge, with ``d = 1``.  The least-squares fits
+    use ``E^T E = F^T diag(count) F`` on ``P``, whose integers (below
+    ``2^53``) float64 holds exactly.
     """
 
     def __init__(self, a: Tensor):
@@ -284,44 +280,35 @@ class _ScalingSolve:
         self.a_vals = a.data[nz]
         self.w = np.array([1 - m] + [1] * (m - 1))
         # a row is fixed by its head and the multiset of its tail labels; its
-        # L1 size is twice the number of tail labels other than the head.
-        # Small rows first: they tend to span the whole row lattice, which
-        # keeps G at one row per pivot.
+        # size (half its L1 norm) is the number of tail labels off the head, 0
+        # on the diagonal.  Small rows first tend to keep G at one per pivot.
         tails = np.sort(self.j[:, 1:], axis=1)
         keys = np.ravel_multi_index((self.j[:, 0], *tails.T), a.shape)
-        _, first = np.unique(keys, return_index=True)
+        _, first, count = np.unique(keys, return_index=True, return_counts=True)
         size = (tails[first] != self.j[first, :1]).sum(axis=1)
-        candidates = first[np.argsort(size, kind="stable")]
-        _, picked = _echelon(self._rows(candidates).T)
-        self.g_rows = candidates[picked]
-        outside = np.delete(candidates, picked)
+        by_size = np.argsort(size, kind="stable")[np.count_nonzero(size == 0) :]
+        first, count = first[by_size], count[by_size]
+        f = np.zeros((len(first), n), dtype=np.int64)
+        np.add.at(f, (np.arange(len(first))[:, None], self.j[first]), self.w)
+        g = _echelon(f.T.copy())[1]
+        outside = np.delete(np.arange(len(f)), g)
         while True:
-            eye = np.eye(len(self.g_rows), dtype=np.int64)
-            hu, self.p = _echelon(np.hstack([self._rows(self.g_rows), eye]), n)
+            hu, self.p = _echelon(np.hstack([f[g], np.eye(len(g), dtype=np.int64)]), n)
             h = hu[: len(self.p), :n]
             if np.all(np.abs(h[np.arange(len(self.p)), self.p]) == 1):
                 break  # unit pivots: L(G) holds every integer point of its span
-            outside = outside[_outside(h, self.p, self._rows(outside))]
+            rest = f[outside].astype(h.dtype)
+            for i, c in enumerate(self.p):
+                rest = _reduce(rest, slice(None), h[i], c)
+            outside = outside[rest.any(axis=1)]  # the rows L(G) does not hold
             if not outside.size:
                 break
-            self.g_rows = np.append(self.g_rows, outside[0])
-        u = hu[: len(self.p), n:]
-        self.interp = np.linalg.solve(h[:, self.p].astype(float), u.astype(float))
-        gram = sum(
-            wi * wk * np.bincount(self.j[:, i] * n + self.j[:, k], minlength=n * n)
-            for i, wi in enumerate(self.w)
-            for k, wk in enumerate(self.w)
-        ).reshape(n, n)
-        self.gram_inv = np.linalg.inv(gram[np.ix_(self.p, self.p)])
-
-    def _rows(self, nonzeros: np.ndarray) -> np.ndarray:
-        """The rows of ``E`` for the given nonzeros, as an integer matrix in
-        Fortran order (the row selection works on its transpose)."""
-        e = np.zeros((len(nonzeros), self.n), dtype=np.int64, order="F")
-        rows = np.arange(len(nonzeros))
-        for slot, weight in enumerate(self.w):
-            e[rows, self.j[nonzeros, slot]] += weight
-        return e
+            g = np.append(g, outside[0])
+        self.g_rows = first[g]
+        u = hu[: len(self.p), n:].astype(float)
+        self.interp = np.linalg.solve(h[:, self.p].astype(float), u)
+        fp = f[:, self.p].astype(float)
+        self.gram_inv = np.linalg.inv((fp.T * count) @ fp)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """``E @ x``."""
@@ -398,8 +385,6 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
         raise ShapeError("tensors must share order and dimension")
     if a.order < 3:
         raise OrderError("the decision procedure applies to order >= 3")
-    if nnz(a) != nnz(b):
-        return None
     diag = (np.arange(a.dim),) * a.order
     a_diag, b_diag = a.data[diag], b.data[diag]
     allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]

@@ -92,8 +92,12 @@ def _encode_scalar(value: complex):
     return [value.real, value.imag]
 
 
+def _is_int(value) -> bool:  # JSON true and false decode to bools, which are ints
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
 
 
 def _decode_scalar(payload, where: str) -> complex:
@@ -153,7 +157,7 @@ def tensor_from_dict(obj) -> Tensor:
         if field not in obj:
             raise FormatError(f"tensor payload missing field {field!r}")
     order, dim = obj["order"], obj["dim"]
-    if not isinstance(order, int) or not isinstance(dim, int) or order < 1 or dim < 1:
+    if not _is_int(order) or not _is_int(dim) or order < 1 or dim < 1:
         raise FormatError("order and dim must be positive integers")
     # any dim > 1 is over the limit once order reaches its bit length; the
     # min keeps a huge order from building a huge integer
@@ -172,11 +176,8 @@ def tensor_from_dict(obj) -> Tensor:
             if not isinstance(entry, dict) or "idx" not in entry or "val" not in entry:
                 raise FormatError("sparse entry must be {'idx': [...], 'val': ...}")
             idx = entry["idx"]
-            if (
-                not isinstance(idx, list)
-                or len(idx) != order
-                or not all(isinstance(c, int) and 1 <= c <= dim for c in idx)
-            ):
+            listed = isinstance(idx, list) and len(idx) == order
+            if not listed or not all(_is_int(c) and 1 <= c <= dim for c in idx):
                 raise FormatError(f"sparse index {idx!r} invalid for order {order}, dim {dim}")
             key = tuple(idx)
             if key in seen:
@@ -218,7 +219,7 @@ def witness_to_dict(w: Witness) -> dict:
 def witness_from_dict(obj) -> Witness:
     if not isinstance(obj, dict) or any(k not in obj for k in ("m", "P", "Q")):
         raise FormatError("witness payload must carry m, P and Q")
-    if not isinstance(obj["m"], int):
+    if not _is_int(obj["m"]):
         raise FormatError("witness order m must be an integer")
     p = tensor_from_dict(obj["P"])
     q = tensor_from_dict(obj["Q"])
@@ -246,18 +247,16 @@ def structured_witness_to_dict(s: StructuredWitness) -> dict:
 def structured_witness_from_dict(obj) -> StructuredWitness:
     if not isinstance(obj, dict) or any(k not in obj for k in ("m", "sigma", "d")):
         raise FormatError("structured witness payload must carry m, sigma and d")
-    if not isinstance(obj["m"], int):
+    if not _is_int(obj["m"]):
         raise FormatError("structured witness order m must be an integer")
     sigma = obj["sigma"]
-    if not isinstance(sigma, list) or not all(isinstance(c, int) for c in sigma):
+    if not isinstance(sigma, list) or not all(map(_is_int, sigma)):
         raise FormatError("sigma must be a list of integers")
     dvals = obj["d"]
     if not isinstance(dvals, list):
         raise FormatError("d must be a list of scalars")
     d = [_decode_scalar(v, "diagonal value") for v in dvals]
-    return StructuredWitness(
-        Permutation(tuple(sigma)), DiagonalScaling(np.array(d)), obj["m"]
-    )
+    return StructuredWitness(Permutation(tuple(sigma)), DiagonalScaling(np.array(d)), obj["m"])
 
 
 def read_structured_witness(path) -> StructuredWitness:
@@ -284,6 +283,6 @@ def charpoly_from_dict(obj) -> CharPoly:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise FormatError("charpoly payload must carry coeffs")
     coeffs = [_decode_scalar(c, "charpoly coefficient") for c in obj["coeffs"]]
-    if "degree" in obj and obj["degree"] != len(coeffs) - 1:
+    if "degree" in obj and (not _is_int(obj["degree"]) or obj["degree"] != len(coeffs) - 1):
         raise FormatError("charpoly degree does not match coefficient count")
     return CharPoly(tuple(coeffs))

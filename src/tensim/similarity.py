@@ -194,8 +194,8 @@ def _unit_image_residuals(w: Witness) -> tuple[float, float, float]:
     counts = support.sum(axis=1)
     # as in io: 2**e is already over the limit, and a huge m builds no huge integer
     e = min(m - 1, DEFAULT_ENTRY_LIMIT.bit_length())
-    if sum(int(r) ** e for r in counts) > DEFAULT_ENTRY_LIMIT:
-        raise EntryLimitError(f"the rows of Q span over {DEFAULT_ENTRY_LIMIT} tails of order {m}")
+    if n * sum(int(r) ** e - int(r) for r in counts) > DEFAULT_ENTRY_LIMIT:  # C, non-constant tails
+        raise EntryLimitError(f"n = {n} times Q's tails of order {m} exceed {DEFAULT_ENTRY_LIMIT}")
     tail = dev = np.float64(0.0)
     done = np.zeros((0, n), dtype=bool)  # supports already enumerated
     for row in {r.tobytes(): r for r in support[counts > 1]}.values():
@@ -216,8 +216,9 @@ def check_unit_preserving(w: Witness, tol: float = STRUCTURAL_TOL) -> bool:
     """True iff ``P (I Q)`` equals the unit tensor of order ``w.m`` within ``tol``.
 
     On constant tails ``P (I Q)`` is ``P M``, ``M[i, c] = q[i, c]^(m-1)``; the other
-    tails are enumerated over the row supports ``S_i`` of ``Q``.  Past ``DEFAULT_ENTRY_LIMIT``
-    tuples, ``sum_i |S_i|^(m-1)``, it raises :class:`EntryLimitError`.
+    tails are enumerated over the row supports ``S_i`` of ``Q``.  It raises
+    :class:`EntryLimitError` when ``n sum_i (|S_i|^(m-1) - |S_i|)``, their entries
+    of ``I Q``, exceeds ``DEFAULT_ENTRY_LIMIT``.
     """
     return _unit_image_residuals(w)[0] <= tol
 

@@ -38,6 +38,9 @@ from .similarity import _int_pow
 #: eps**(1/k), which reaches the 1e-4 range for triple roots.
 _CLUSTER_TOL = 1e-3
 
+#: Newton steps that polish an eigenvector's affine root in :func:`eigenvector_dim2`.
+_NEWTON_STEPS = 3
+
 #: Default absolute tolerance for matching two spectra as multisets.
 ROOT_MATCH_TOL = 1e-6
 
@@ -123,16 +126,14 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> np.ndarray:
     return out
 
 
-def spectrum_dim2(a: Tensor, cluster_tol: float = _CLUSTER_TOL) -> list[complex]:
+def spectrum_dim2(a: Tensor) -> list[complex]:
     """Root multiset of the characteristic polynomial, canonically sorted
     (by real part, then imaginary part): the ``2*(m-1)`` eigenvalues of the
     Sylvester matrix, with near-coincident ones clustered."""
-    return _char_poly_and_spectrum(a, cluster_tol)[1]
+    return _char_poly_and_spectrum(a)[1]
 
 
-def _char_poly_and_spectrum(
-    a: Tensor, cluster_tol: float = _CLUSTER_TOL
-) -> tuple[CharPoly, list[complex]]:
+def _char_poly_and_spectrum(a: Tensor) -> tuple[CharPoly, list[complex]]:
     """:func:`char_poly_dim2` and :func:`spectrum_dim2` from one eigenvalue
     computation of the Sylvester matrix."""
     roots = np.linalg.eigvals(_sylvester_matrix(a))
@@ -144,7 +145,7 @@ def _char_poly_and_spectrum(
     else:
         # np.poly(S) is np.poly(eigvals(S))
         cp = CharPoly(tuple(complex(c) for c in np.poly(roots)[::-1]))
-    radius = cluster_tol * (1.0 + float(np.max(np.abs(roots))))
+    radius = _CLUSTER_TOL * (1.0 + float(np.max(np.abs(roots))))
     roots = _cluster_roots(roots, radius)
     order = np.lexsort((roots.imag, roots.real))
     return cp, [complex(r) for r in roots[order]]
@@ -160,7 +161,7 @@ def eigen_residual(a: Tensor, lam: complex, x) -> float:
     return float(np.max(np.abs(apply_to_vector(a, vec) - lam * powered)))
 
 
-def eigenvector_dim2(a: Tensor, lam: complex, newton_steps: int = 3) -> np.ndarray:
+def eigenvector_dim2(a: Tensor, lam: complex) -> np.ndarray:
     """An eigenvector for a spectrum element of a dimension-2 tensor.
 
     Solves the first form ``f_1(x_1, 1) = 0`` for its roots, picks the one on
@@ -196,10 +197,9 @@ def eigenvector_dim2(a: Tensor, lam: complex, newton_steps: int = 3) -> np.ndarr
     if best[1] != 0:
         # Newton polish on f(t, 1)
         t = best[0]
-        poly = f
-        dpoly = np.array([(p - j) * poly[j] for j in range(p)], dtype=np.complex128)
-        for _ in range(newton_steps):
-            val = np.polyval(poly, t)
+        dpoly = np.array([(p - j) * f[j] for j in range(p)], dtype=np.complex128)
+        for _ in range(_NEWTON_STEPS):
+            val = np.polyval(f, t)
             dval = np.polyval(dpoly, t)
             if dval == 0:
                 break

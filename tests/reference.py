@@ -189,3 +189,82 @@ def oracle_similar(a: Tensor, b: Tensor, tol: float = 1e-6) -> bool:
         if consistent:
             return True
     return False
+
+
+def reference_echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
+    """Row echelon form of the integer matrix ``m`` (overwritten) by Euclid's
+    algorithm down each pivot column, and its pivot columns among the first
+    ``ncols``; entries become Python integers before they could leave int64."""
+    ncols = m.shape[1] if ncols is None else ncols
+    pivots: list[int] = []
+    c = 0
+    while len(pivots) < m.shape[0]:
+        top = len(pivots)
+        ahead = np.flatnonzero(m[top:, c:ncols].any(axis=0))
+        if ahead.size == 0:
+            break
+        c += int(ahead[0])
+        while True:
+            rows = top + np.flatnonzero(m[top:, c])
+            p = rows[np.argmin(np.abs(m[rows, c]))]
+            m[[top, p]] = m[[p, top]]
+            rest = top + 1 + np.flatnonzero(m[top + 1 :, c])
+            if rest.size == 0:
+                break
+            m[rest, c:] -= (m[rest, c] // m[top, c])[:, None] * m[top, c:]
+            if m.dtype != object and np.abs(m[rest, c:]).max() >= 2**31:
+                m = m.astype(object)
+        pivots.append(c)
+        c += 1
+    return m, pivots
+
+
+def _reference_outside(h: np.ndarray, pivots: list[int], rows: np.ndarray) -> np.ndarray:
+    """Which integer ``rows`` the echelon basis ``h`` does not reduce to zero."""
+    rows = rows.astype(h.dtype)
+    for i, c in enumerate(pivots):
+        rows[:, c:] -= (rows[:, c] // h[i, c])[:, None] * h[i, c:]
+        if rows.dtype != object and np.abs(rows[:, c:]).max(initial=0) >= 2**31:
+            rows = rows.astype(object)
+    return rows.any(axis=1)
+
+
+def reference_scaling_lattice(a: Tensor) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+    """``(g_rows, p, interp, gram_inv)`` of the scaling solve of ``a``, built
+    one nonzero at a time: the rows of the exponent matrix ``E`` are rebuilt
+    for each candidate set, and ``E^T E`` is summed slot pair by slot pair."""
+    m, n = a.order, a.dim
+    j = np.argwhere(a.data != 0)
+    w = np.array([1 - m] + [1] * (m - 1))
+
+    def rows(nonzeros: np.ndarray) -> np.ndarray:
+        e = np.zeros((len(nonzeros), n), dtype=np.int64, order="F")
+        for slot, weight in enumerate(w):
+            e[np.arange(len(nonzeros)), j[nonzeros, slot]] += weight
+        return e
+
+    tails = np.sort(j[:, 1:], axis=1)
+    keys = np.ravel_multi_index((j[:, 0], *tails.T), a.shape)
+    _, first = np.unique(keys, return_index=True)
+    size = (tails[first] != j[first, :1]).sum(axis=1)
+    candidates = first[np.argsort(size, kind="stable")]
+    _, picked = reference_echelon(rows(candidates).T)
+    g_rows = candidates[picked]
+    outside = np.delete(candidates, picked)
+    while True:
+        eye = np.eye(len(g_rows), dtype=np.int64)
+        hu, p = reference_echelon(np.hstack([rows(g_rows), eye]), n)
+        h = hu[: len(p), :n]
+        if np.all(np.abs(h[np.arange(len(p)), p]) == 1):
+            break
+        outside = outside[_reference_outside(h, p, rows(outside))]
+        if not outside.size:
+            break
+        g_rows = np.append(g_rows, outside[0])
+    interp = np.linalg.solve(h[:, p].astype(float), hu[: len(p), n:].astype(float))
+    gram = sum(
+        wi * wk * np.bincount(j[:, i] * n + j[:, k], minlength=n * n)
+        for i, wi in enumerate(w)
+        for k, wk in enumerate(w)
+    ).reshape(n, n)
+    return g_rows, p, interp, np.linalg.inv(gram[np.ix_(p, p)])

@@ -35,7 +35,13 @@ from tensim.generate import (
     random_unit_preserving_witness,
 )
 
-from reference import brute_force_pattern_key, naive_relabel, oracle_similar
+from reference import (
+    brute_force_pattern_key,
+    naive_relabel,
+    oracle_similar,
+    reference_echelon,
+    reference_scaling_lattice,
+)
 
 
 def sparse(order, dim, entries):
@@ -379,6 +385,62 @@ class TestScalingRegressions:
         rebuilt = structured_transform(a, StructuredWitness(sigma, got, 3))
         assert max_abs_diff(rebuilt, b) <= 1e-8 * max(1.0, float(np.max(np.abs(b.data))))
         assert decide_similar(a, a) is not None
+
+
+class TestScalingLatticeOracle:
+    """The lattice data of the scaling solve, built from the distinct rows of
+    the exponent matrix, equal to the byte those of the reference build,
+    which makes the rows of every nonzero anew at each step: the witness
+    bytes depend on them."""
+
+    @staticmethod
+    def assert_same_lattice(a):
+        g_rows, p, interp, gram_inv = reference_scaling_lattice(a)
+        s = decision._ScalingSolve(a)
+        assert s.g_rows.tolist() == g_rows.tolist()
+        assert list(s.p) == list(p)
+        for got, want in ((s.interp, interp), (s.gram_inv, gram_inv)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "m, n, density",
+        [(3, 8, 0.05), (3, 12, 0.2), (3, 20, 0.02), (3, 6, 1.0), (4, 6, 0.1), (4, 5, 1.0),
+         (5, 4, 0.2), (5, 3, 1.0)],
+    )
+    def test_seeded_supports(self, m, n, density):
+        for seed in range(5):
+            self.assert_same_lattice(random_tensor(np.random.default_rng(seed), m, n, density=density))
+
+    @pytest.mark.parametrize(
+        "m, n, density, seed",
+        [(3, 30, 0.05, 0), (3, 40, 0.05, 0), (3, 60, 0.02, 0), (3, 20, 0.02, 44)],
+    )
+    def test_regression_supports(self, m, n, density, seed):
+        self.assert_same_lattice(seeded_forward_pair(seed, m, n, density)[0])
+
+    def test_phase_coset_support(self):
+        self.assert_same_lattice(sparse(4, 2, {(1, 1, 2, 2): 1, (1, 2, 2, 2): 1}))
+
+    def test_large_index_support(self):
+        n = 40
+        entries = {(1, j, j): 1 for j in range(2, n + 1)}
+        entries[(2, 1, 3)] = 1
+        entries.update({(2, j, j + 1): 1 for j in range(3, n)})
+        self.assert_same_lattice(sparse(3, n, entries))
+
+    def test_echelon_past_int64_products(self):
+        # entries near 2**30 take the reduction step past 2**31, onto Python integers
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            m = rng.integers(-(2**30), 2**30, size=(4, 6))
+            got, pivots = decision._echelon(m.copy())
+            want, want_pivots = reference_echelon(m.copy())
+            assert got.dtype == object and pivots == want_pivots
+            assert got.tolist() == want.tolist()
+
+    def test_empty_and_diagonal_supports(self):
+        self.assert_same_lattice(Tensor(np.zeros((3, 3, 3))))
+        self.assert_same_lattice(unit_tensor(4, 3))
 
 
 class TestTiedStatistics:

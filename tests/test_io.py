@@ -242,6 +242,37 @@ class TestStructuredWitnessFiles:
             structured_witness_from_dict({"m": "3", "sigma": [1, 2], "d": [[1, 0], [1, 0]]})
 
 
+class TestBooleansAreNotIntegers:
+    """JSON ``true`` and ``false`` decode to Python bools, which are ints to
+    ``isinstance``; none of them is an order, a dimension, an index or a label."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"order": True, "dim": 2, "format": "dense", "entries": [1, 2]},
+            {"order": 2, "dim": True, "format": "dense", "entries": [[1]]},
+            {"order": 3, "dim": 2, "format": "sparse", "entries": [{"idx": [True, 2, True], "val": 1}]},
+        ],
+    )
+    def test_tensor_fields(self, doc):
+        with pytest.raises(FormatError):
+            tensor_from_dict(doc)
+
+    def test_witness_order(self):
+        doc = {"m": True, "P": tensor_to_dict(unit_tensor(2, 2)), "Q": tensor_to_dict(unit_tensor(2, 2))}
+        with pytest.raises(FormatError):
+            witness_from_dict(doc)
+
+    @pytest.mark.parametrize("m, sigma", [(3, [True, 2]), (3, [2, True]), (True, [1, 2])])
+    def test_structured_witness_fields(self, m, sigma):
+        with pytest.raises(FormatError):
+            structured_witness_from_dict({"m": m, "sigma": sigma, "d": [[1, 0], [1, 0]]})
+
+    def test_charpoly_degree(self):
+        with pytest.raises(FormatError):
+            charpoly_from_dict({"degree": True, "coeffs": [[1, 0], [2, 0]]})
+
+
 class TestCharPolySerialization:
     def test_roundtrip(self):
         cp = CharPoly((1 + 0j, -4 + 1j, 6 + 0j))

@@ -309,6 +309,26 @@ class TestWitnessChecksPastTheDenseLimit:
             with pytest.raises(EntryLimitError):
                 check(Witness(q, q, 6))
 
+    def test_work_past_the_limit_is_refused_at_once(self):
+        # 120 rows of 20 nonzeros: 957,600 non-constant tails of order 4, each a
+        # column of 120 entries of I Q (114,912,000 > 10**8); enumerated, they took seconds
+        rng = np.random.default_rng(0)
+        q = np.zeros((120, 120))
+        for row in q:
+            row[rng.choice(120, 20, replace=False)] = rng.normal(size=20)
+        start = time.perf_counter()
+        for check in (check_unit_preserving, witness_structure_report, decompose_witness):
+            with pytest.raises(EntryLimitError, match="tails"):
+                check(Witness(Tensor(np.eye(120)), Tensor(q), 4))
+        assert time.perf_counter() - start < 0.5
+
+    def test_dense_order2_pair_is_not_over_the_limit(self):
+        # at m = 2 every tail is constant: the check is P Q = I, whatever n * nnz(Q)
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(500, 500)))
+        w = Witness(Tensor(q.T), Tensor(q), 2)
+        assert check_unit_preserving(w)
+        assert witness_structure_report(w).unit_preserving
+
 
 class TestPermutationTransform:
     def test_identity(self):
