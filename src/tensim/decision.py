@@ -14,29 +14,23 @@ zero (a global scalar is a gauge freedom) and depends only on the support
 of ``A``, not on ``sigma``.  So :func:`decide_similar` builds it once and
 then solves each candidate ``sigma`` with a few matrix-vector products:
 ``log|d|`` by real least squares, and the phases by interpolating them
-through a basis of the integer lattice spanned by the rows of ``E``, each
-basis row a known integer combination of rows of ``E``, then rounding every
-row to whole turns and fitting least squares to the unwrapped phases.  The
-basis comes from exact integer arithmetic on the exponents alone; no
-floating-point value passes through it.  A candidate is accepted only if it
-rebuilds every nonzero of ``B`` within the relative tolerance: that test,
-not the solve, is the acceptance authority.
+through a basis of the integer lattice of the rows of ``E``, each basis row
+a known integer combination of rows of ``E``, then rounding every row to
+whole turns and fitting least squares to the unwrapped phases.  The basis
+comes from exact elimination on Python integers (rows of ``E`` up to a rank
+bound, one pass over the rest, one echelon form); no float passes through
+it.  A candidate is accepted only if it rebuilds every nonzero of ``B``
+within the relative tolerance: that test, not the solve, is the authority.
 
-The candidates ``sigma`` are the relabelings of the zero pattern.  Colour
-refinement of the two patterns together, on their disjoint union (the
-refinement the canonical hash uses), leaves each label of ``B`` only the
-labels of ``A`` of its own colour.  The candidates are also masked by
-values: a diagonal position has net exponent zero, so it is a fixed point
-of every scaling, and ``b[v..v]`` can only come from an ``a[w..w]`` equal
-to it within the acceptance tolerance (the mask is exact for tolerances well
-above ``1e-13``; below that, rounding of the rebuild can exceed the mask's
-margin).  When one candidate per label is left, the single relabeling is
-checked with one gather over the nonzeros; otherwise a backtracking search
-over the candidates checks each search node incrementally, against only the
-nonzeros the newest label completes.  Dense tensors whose diagonal entries
-are pairwise distinct beyond twice the tolerance so cost one gather and one
-solve instead of ``n!``; repeated diagonal values leave several candidates
-per label, and their search still grows with ``n!``.
+The candidates ``sigma`` are the relabelings of the zero pattern that a
+joint colour refinement of the two patterns (the canonical hash's) allows,
+masked by value: a diagonal position has net exponent zero, so ``b[v..v]``
+can only come from an ``a[w..w]`` equal to it within the acceptance
+tolerance (exact for tolerances well above ``1e-13``).  One candidate per
+label is checked with one gather; otherwise a backtracking search checks
+each node against the nonzeros its newest label completes.  Dense tensors
+with pairwise distinct diagonals so cost one gather and one solve, not
+``n!``; repeated diagonal values still cost up to ``n!``.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -46,6 +40,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from itertools import compress
 from typing import Iterator
 
 import numpy as np
@@ -213,63 +208,74 @@ def pattern_permutations(
 # ---------------------------------------------------------------------------
 
 
-def _reduce(m: np.ndarray, rows, top: np.ndarray, c: int) -> np.ndarray:
-    """``m`` with each of ``m[rows]`` less the multiple of the row ``top``, of
-    pivot ``top[c]``, that leaves a remainder in column ``c`` smaller than the
-    pivot.  Entries become Python integers before a product could leave int64."""
-    m[rows, c:] -= (m[rows, c] // top[c])[:, None] * top[c:]
-    if m.dtype != object and np.abs(m[rows, c:]).max(initial=0) >= 2**31:
-        m = m.astype(object)
-    return m
+def _less(r: dict[int, int], q: int, h: dict[int, int]) -> dict[int, int]:
+    """The sparse integer row ``r`` (column -> nonzero) less ``q`` times ``h``."""
+    r = dict(r)
+    for k, y in h.items():
+        r[k] = r.get(k, 0) - q * y
+        if not r[k]:
+            del r[k]
+    return r
 
 
 def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of the integer matrix ``m`` (overwritten) by
-    unimodular row operations, and its pivot columns among the first ``ncols``.
-    Each pivot is reached by :func:`_reduce` steps down its column."""
-    ncols = m.shape[1] if ncols is None else ncols
-    pivots: list[int] = []
-    c = 0
-    while len(pivots) < m.shape[0]:
+    """Row echelon form of the integer matrix ``m`` by unimodular row
+    operations, and its pivot columns among the first ``ncols``: down each
+    column, Euclid's algorithm with the row of least magnitude (the first on
+    ties) as divisor, by floor division.  The work is on sparse rows of Python
+    integers; the result is int64, or object once a reduced entry reaches ``2^31``."""
+    (size, width), pivots, big = m.shape, [], False
+    ncols = width if ncols is None else ncols
+    rows = [dict(compress(enumerate(r), r)) for r in m.tolist()]
+    lead = [min(r, default=width) for r in rows]  # first nonzero column of each row
+    while len(pivots) < size and (c := min(lead[len(pivots) :])) < ncols:
         top = len(pivots)
-        ahead = np.flatnonzero(m[top:, c:ncols].any(axis=0))
-        if ahead.size == 0:
-            break
-        c += int(ahead[0])
-        while True:
-            rows = top + np.flatnonzero(m[top:, c])
-            p = rows[np.argmin(np.abs(m[rows, c]))]
-            m[[top, p]] = m[[p, top]]
-            rest = top + 1 + np.flatnonzero(m[top + 1 :, c])
-            if rest.size == 0:
-                break
-            m = _reduce(m, rest, m[top], c)
+        while (live := [i for i in range(top, size) if lead[i] == c]) != [top]:
+            p = min(live, key=lambda i: abs(rows[i][c]))
+            rows[top], rows[p], lead[top], lead[p] = rows[p], rows[top], lead[p], lead[top]
+            for i in [i for i in live if i != top and lead[i] == c]:  # top's old row is at p
+                rows[i] = r = _less(rows[i], rows[i][c] // rows[top][c], rows[top])
+                lead[i] = min(r, default=width)
+                big = big or max(map(abs, r.values()), default=0) >= 2**31
         pivots.append(c)
-        c += 1
-    return m, pivots
+    out = np.zeros((size, width), dtype=object if big else np.int64)
+    out[[i for i, r in enumerate(rows) for _ in r], [k for r in rows for k in r]] = [
+        x for r in rows for x in r.values()
+    ]
+    return out, pivots
+
+
+def _join(basis: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, dict[int, int]]:
+    """The rows of ``basis`` (pivot column -> row), an echelon basis of a
+    lattice, that change when the sparse integer row ``v`` joins it: none iff
+    ``v`` is in the lattice, and a new pivot iff ``v`` is off its span."""
+    out: dict[int, dict[int, int]] = {}
+    while v and (h := basis.get(c := min(v))):
+        if v[c] % h[c] == 0:
+            v = _less(v, v[c] // h[c], h)
+            continue
+        while c in v:  # Euclid's algorithm: pivot gcd, v zero at c
+            h, v = v, _less(h, h[c] // v[c], v)
+        out[c] = h
+    return out | ({min(v): v} if v else {})
 
 
 class _ScalingSolve:
     """The part of the scaling solve that depends only on the support of ``A``.
 
-    Row ``i`` of the exponent matrix ``E`` is the net exponent vector of
-    ``A``'s ``i``-th nonzero ``j``: ``1 - m`` at label ``j_1`` and one more
-    at each of ``j_2, ..., j_m``; it is held as the multi-indices and the
-    slot weights.  A permutation ``sigma`` then asks for ``x = log d`` with
-    ``E x = log(b[sigma(j)] / a[j])`` modulo ``2*pi*i`` on every row.
-
-    The build is exact integer work on ``F``, the distinct nonzero rows of
-    ``E`` in order of size, each with its count of nonzeros of ``A``.  It
-    picks rows ``G`` of ``F`` that span the same integer lattice as all of
-    ``E``: the first linearly independent rows, then, while some row of ``F``
-    is not an integer combination of ``G``, the first such row.  An echelon
-    form ``H = U G`` of ``G`` is a lattice basis whose rows are known integer
-    combinations of rows of ``E``, so the phases of ``H x`` follow from those
-    of ``E x``, and ``H x`` in turn fixes the phase of every row of ``E``
-    modulo ``2*pi``.  The pivot columns ``P`` of ``H`` are the labels solved
-    for; the others are the gauge, with ``d = 1``.  The least-squares fits
-    use ``E^T E = F^T diag(count) F`` on ``P``, whose integers (below
-    ``2^53``) float64 holds exactly.
+    Row ``i`` of ``E``, the net exponent vector of ``A``'s ``i``-th nonzero
+    ``j`` (``1 - m`` at ``j_1``, one more at each of ``j_2, ..., j_m``), is
+    held as the multi-indices and the slot weights.  ``F`` holds the distinct
+    rows of ``E`` by size, each with its count.  Its rows join an echelon
+    basis of the lattice ``L(G)`` (:func:`_join`) as they are read: first
+    the linearly independent ones, up to the rank bound ``n - c`` (each of
+    the ``c`` components of the support has its indicator in the kernel of
+    ``E``), then, in one pass, those outside ``L(G)``, until every pivot is
+    ``+-1``.  One echelon form ``H = U G`` is then a lattice basis of known
+    integer combinations of rows of ``E``: the phases of ``H x`` follow from
+    those of ``E x`` and fix every row's phase modulo ``2*pi``.  Its pivot
+    columns ``P`` are the labels solved for, the others the gauge (``d = 1``).
+    The fits use ``E^T E = F^T diag(count) F`` on ``P``, in float64 exactly (< ``2^53``).
     """
 
     def __init__(self, a: Tensor):
@@ -279,31 +285,36 @@ class _ScalingSolve:
         self.j = np.argwhere(nz)
         self.a_vals = a.data[nz]
         self.w = np.array([1 - m] + [1] * (m - 1))
-        # a row is fixed by its head and the multiset of its tail labels; its
-        # size (half its L1 norm) is the number of tail labels off the head, 0
-        # on the diagonal.  Small rows first tend to keep G at one per pivot.
+        # a row is fixed by its head and the multiset of its tail labels; its size
+        # (tail labels off the head) comes first: small rows keep G near one per pivot
         tails = np.sort(self.j[:, 1:], axis=1)
-        keys = np.ravel_multi_index((self.j[:, 0], *tails.T), a.shape)
+        size = (tails != self.j[:, :1]).sum(axis=1)
+        keys = np.ravel_multi_index((size, self.j[:, 0], *tails.T), (m, *a.shape))
         _, first, count = np.unique(keys, return_index=True, return_counts=True)
-        size = (tails[first] != self.j[first, :1]).sum(axis=1)
-        by_size = np.argsort(size, kind="stable")[np.count_nonzero(size == 0) :]
-        first, count = first[by_size], count[by_size]
         f = np.zeros((len(first), n), dtype=np.int64)
         np.add.at(f, (np.arange(len(first))[:, None], self.j[first]), self.w)
-        g = _echelon(f.T.copy())[1]
-        outside = np.delete(np.arange(len(f)), g)
-        while True:
-            hu, self.p = _echelon(np.hstack([f[g], np.eye(len(g), dtype=np.int64)]), n)
-            h = hu[: len(self.p), :n]
-            if np.all(np.abs(h[np.arange(len(self.p)), self.p]) == 1):
-                break  # unit pivots: L(G) holds every integer point of its span
-            rest = f[outside].astype(h.dtype)
-            for i, c in enumerate(self.p):
-                rest = _reduce(rest, slice(None), h[i], c)
-            outside = outside[rest.any(axis=1)]  # the rows L(G) does not hold
-            if not outside.size:
+        # labels joined by a path of nonzeros, by squaring until closed (exact: counts < 2^24)
+        reach = np.eye(n, dtype=np.float32)
+        reach[self.j[:, :1], self.j[:, 1:]] = reach[self.j[:, 1:], self.j[:, :1]] = 1
+        while not np.array_equal(reach, wider := np.sign(reach @ reach)):
+            reach = wider
+        rank = n - np.count_nonzero(reach.argmax(axis=1) == np.arange(n))
+        basis, g = {}, []  # basis: pivot column -> sparse row, an echelon basis of L(G)
+        for i in range(len(f)):  # a row joins when it raises the rank
+            joined = _join(basis, dict(compress(enumerate(row := f[i].tolist()), row)))
+            if joined.keys() - basis.keys():
+                basis |= joined
+                g.append(i)
+                if len(basis) == rank:
+                    break
+        for i in range(len(f)):  # a row joins when it is outside L(G); G's rows are inside
+            if all(abs(h[c]) == 1 for c, h in basis.items()):
                 break
-            g = np.append(g, outside[0])
+            joined = _join(basis, dict(compress(enumerate(row := f[i].tolist()), row)))
+            basis |= joined
+            g += [i] * bool(joined)
+        hu, self.p = _echelon(np.hstack([f[g], np.eye(len(g), dtype=np.int64)]), n)
+        h = hu[: len(self.p), :n]
         self.g_rows = first[g]
         u = hu[: len(self.p), n:].astype(float)
         self.interp = np.linalg.solve(h[:, self.p].astype(float), u)

@@ -200,14 +200,15 @@ def _unit_image_residuals(w: Witness) -> tuple[float, float, float]:
     done = np.zeros((0, n), dtype=bool)  # supports already enumerated
     for row in {r.tobytes(): r for r in support[counts > 1]}.values():
         s = np.flatnonzero(row)
-        total, step = s.size ** (m - 1), max(1, 2**20 // (n * m))
+        rows = np.flatnonzero(support[:, s].sum(axis=1) > 1)  # the rest hold no such tail
+        total, step = s.size ** (m - 1), max(1, 2**20 // (rows.size * m))
         for k in (np.arange(i, min(i + step, total)) for i in range(0, total, step)):
             b = s[np.stack(np.unravel_index(k, (s.size,) * (m - 1)))]
             # the non-constant tails that no earlier support holds
             b = b[:, (b != b[0]).any(axis=0) & ~done[:, b].all(axis=1).any(axis=0)]
-            c = np.prod(q[:, b], axis=1)  # (I Q)[i, b] for every row i
+            c = np.prod(q[rows[:, None, None], b], axis=1)  # (I Q)[i, b], zero off these rows
             tail = np.maximum(tail, np.abs(c).max(initial=0.0))
-            dev = np.maximum(dev, np.abs(p @ c).max(initial=0.0))
+            dev = np.maximum(dev, np.abs(p[:, rows] @ c).max(initial=0.0))
         done = np.vstack([done, row])
     return float(np.maximum(maj, dev)), float(tail), float(maj)
 

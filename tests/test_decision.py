@@ -387,6 +387,14 @@ class TestScalingRegressions:
         assert decide_similar(a, a) is not None
 
 
+def large_index_support(n):
+    """The support of ``TestScalingRegressions.test_large_index_support``."""
+    entries = {(1, j, j): 1 for j in range(2, n + 1)}
+    entries[(2, 1, 3)] = 1
+    entries.update({(2, j, j + 1): 1 for j in range(3, n)})
+    return sparse(3, n, entries)
+
+
 class TestScalingLatticeOracle:
     """The lattice data of the scaling solve, built from the distinct rows of
     the exponent matrix, equal to the byte those of the reference build,
@@ -441,6 +449,54 @@ class TestScalingLatticeOracle:
     def test_empty_and_diagonal_supports(self):
         self.assert_same_lattice(Tensor(np.zeros((3, 3, 3))))
         self.assert_same_lattice(unit_tensor(4, 3))
+
+    # The rows are picked up to the rank bound n - c (c components of the
+    # support), then in one pass over the rest: supports where the bound is
+    # never reached, or reached late.
+
+    def test_single_nonzero_component(self):
+        # (1, 2, 3) alone has rank 1, below |C| - 1 = 2
+        self.assert_same_lattice(sparse(3, 3, {(1, 2, 3): 1}))
+        self.assert_same_lattice(sparse(3, 7, {(1, 2, 3): 1, (4, 5, 6): 2, (6, 4, 5): 3, (7, 7, 7): 1}))
+        self.assert_same_lattice(sparse(4, 5, {(1, 2, 3, 4): 1, (5, 5, 1, 1): 2}))
+
+    def test_isolated_labels(self):
+        self.assert_same_lattice(sparse(3, 8, {(2, 5, 5): 1, (5, 2, 2): 1, (5, 2, 5): 2}))
+        self.assert_same_lattice(sparse(4, 6, {(6, 1, 1, 1): 1, (1, 6, 6, 6): 1}))
+
+    def test_labels_only_on_the_diagonal(self):
+        entries = {(v, v, v): v + 1 for v in range(1, 6)}
+        entries.update({(1, 2, 2): 1, (2, 3, 3): 1, (3, 1, 2): 1})
+        self.assert_same_lattice(sparse(3, 8, entries))
+        self.assert_same_lattice(sparse(5, 3, {(1,) * 5: 2, (2,) * 5: 3, (3, 2, 2, 3, 3): 1}))
+
+    def test_several_components(self):
+        for seed in range(5):
+            a = random_tensor(np.random.default_rng(seed), 3, 60, density=0.005)
+            self.assert_same_lattice(a)
+
+    def test_large_index_support_at_60(self):
+        self.assert_same_lattice(large_index_support(60))
+
+    @pytest.mark.parametrize("n, density", [(3, 0.5), (4, 0.1)])
+    def test_order_six(self, n, density):
+        for seed in range(5):
+            self.assert_same_lattice(random_tensor(np.random.default_rng(seed), 6, n, density=density))
+
+    def test_one_echelon_per_build(self, monkeypatch):
+        # closing the lattice of the large-index support takes n - 1 more rows;
+        # each joins the basis of L(G) as it is read, and [G | I] is reduced once
+        calls = []
+        echelon = decision._echelon
+
+        def counted(*args):
+            calls.append(1)
+            return echelon(*args)
+
+        monkeypatch.setattr(decision, "_echelon", counted)
+        s = decision._ScalingSolve(large_index_support(40))
+        assert len(s.g_rows) == 2 * 40 - 3
+        assert calls == [1]
 
 
 class TestTiedStatistics:

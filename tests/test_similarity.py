@@ -322,6 +322,33 @@ class TestWitnessChecksPastTheDenseLimit:
                 check(Witness(Tensor(np.eye(120)), Tensor(q), 4))
         assert time.perf_counter() - start < 0.5
 
+    def test_sparse_rows_cost_only_the_rows_that_hold_a_tail(self):
+        # 400 rows of 10 nonzeros: a tail's column of I Q is zero off the few rows
+        # holding both its labels; P C over all 400 rows took over a second
+        rng = np.random.default_rng(0)
+        q = np.zeros((400, 400))
+        for row in q:
+            row[rng.choice(400, 10, replace=False)] = rng.normal(size=10)
+        start = time.perf_counter()
+        assert not check_unit_preserving(Witness(Tensor(np.eye(400)), Tensor(q), 3))
+        assert time.perf_counter() - start < 0.6
+
+    @pytest.mark.parametrize("m, n, per_row", [(3, 24, 3), (4, 10, 3), (5, 6, 2)])
+    def test_sparse_rows_match_the_dense_image(self, m, n, per_row):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            q = np.zeros((n, n), dtype=complex)
+            for row in q:
+                cols = rng.choice(n, per_row, replace=False)
+                row[cols] = rng.normal(size=per_row) + 1j * rng.normal(size=per_row)
+            w = Witness(Tensor(rng.normal(size=(n, n))), Tensor(q), m)
+            got = witness_structure_report(w).to_dict()
+            for key, ref in dense_witness_report(w.p, w.q, m, STRUCTURAL_TOL).items():
+                if isinstance(ref, bool):
+                    assert got[key] == ref, key
+                else:
+                    assert abs(got[key] - ref) <= 1e-12 * max(1.0, abs(ref)), key
+
     def test_dense_order2_pair_is_not_over_the_limit(self):
         # at m = 2 every tail is constant: the check is P Q = I, whatever n * nnz(Q)
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(500, 500)))
