@@ -235,7 +235,7 @@ def _demo_order2_diagonalization() -> tuple[dict, str]:
             "order": 3,
             "diagonal_tensor": _tensor_entries(diag),
             "witness_sigma": list(sw.sigma.images),
-            "witness_d": [tio._encode_scalar(v) for v in sw.d.values],
+            "witness_d": tio._encode(sw.d.values),
             "transformed": _tensor_entries(transformed),
             "transformed_is_diagonal": bool(is_diagonal(transformed)),
         },

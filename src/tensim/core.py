@@ -83,22 +83,27 @@ class Tensor:
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={nnz(self)})"
 
 
-def unit_tensor(order: int, dim: int, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> Tensor:
+def _diagonal(order: int, values: np.ndarray) -> Tensor:
+    """``values`` on the positions ``(i, ..., i)``; the entry limit is checked before allocating."""
+    dim = values.shape[0]
+    if dim**order > DEFAULT_ENTRY_LIMIT:
+        raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
+    data = np.zeros((dim,) * order, dtype=np.complex128)
+    data[(np.arange(dim),) * order] = values
+    return Tensor(data)
+
+
+def unit_tensor(order: int, dim: int) -> Tensor:
     """Generalized Kronecker delta: 1 where all indices agree, 0 elsewhere.
 
     For ``order == 2`` this is the identity matrix; for any order it has
-    exactly ``dim`` nonzero entries.
+    exactly ``dim`` nonzero entries, out of at most ``DEFAULT_ENTRY_LIMIT``.
     """
     if order < 1:
         raise OrderError("unit tensor needs order >= 1")
     if dim < 1:
         raise ShapeError("unit tensor needs dim >= 1")
-    if dim**order > entry_limit:
-        raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {entry_limit}")
-    data = np.zeros((dim,) * order, dtype=np.complex128)
-    idx = np.arange(dim)
-    data[(idx,) * order] = 1.0
-    return Tensor(data, entry_limit=entry_limit)
+    return _diagonal(order, np.ones(dim))
 
 
 def majorization_matrix(a: Tensor) -> Tensor:
@@ -160,14 +165,9 @@ def is_diagonal(a: Tensor) -> bool:
 
 def diagonal_tensor(order: int, values: Sequence[complex]) -> Tensor:
     """Tensor with ``values`` on the positions ``(i, ..., i)`` and zeros elsewhere."""
-    vals = np.asarray(values, dtype=np.complex128)
     if order < 2:
         raise OrderError("diagonal tensor needs order >= 2")
-    n = vals.shape[0]
-    data = np.zeros((n,) * order, dtype=np.complex128)
-    idx = np.arange(n)
-    data[(idx,) * order] = vals
-    return Tensor(data)
+    return _diagonal(order, np.asarray(values, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,3 @@ def max_abs_diff(a: Tensor, b: Tensor) -> float:
     if a.data.size == 0:
         return 0.0
     return float(np.max(np.abs(a.data - b.data)))
-
-
-def allclose(a: Tensor, b: Tensor, tol: float = 1e-9) -> bool:
-    return max_abs_diff(a, b) <= tol

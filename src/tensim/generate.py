@@ -22,22 +22,16 @@ def random_tensor(
     order: int,
     dim: int,
     density: float = 1.0,
-    magnitude_range: tuple[float, float] = (0.3, 2.0),
-    real: bool = False,
 ) -> Tensor:
     """Dense tensor whose entries are nonzero with probability ``density``.
 
-    Nonzero magnitudes are uniform in ``magnitude_range`` (bounded away from
+    Nonzero magnitudes are uniform in ``(0.3, 2.0)`` (bounded away from
     zero so that cleaning thresholds never clip an honest entry), with
-    uniform phases unless ``real`` is set.
+    uniform phases.
     """
     shape = (dim,) * order
-    mags = rng.uniform(*magnitude_range, size=shape)
-    if real:
-        values = mags * rng.choice([-1.0, 1.0], size=shape)
-        values = values.astype(np.complex128)
-    else:
-        values = mags * np.exp(2j * np.pi * rng.uniform(size=shape))
+    mags = rng.uniform(0.3, 2.0, size=shape)
+    values = mags * np.exp(2j * np.pi * rng.uniform(size=shape))
     mask = rng.uniform(size=shape) < density
     values[~mask] = 0.0
     return Tensor(values)
@@ -74,6 +68,6 @@ def random_unit_preserving_witness(
     rng: np.random.Generator,
     m: int,
     n: int,
-    magnitude_range: tuple[float, float] = (0.1, 10.0),
 ) -> Witness:
-    return compose_witness(random_structured_witness(rng, m, n, magnitude_range))
+    """``compose_witness`` of a random ``(sigma, D)``, magnitudes in ``(0.1, 10.0)``."""
+    return compose_witness(random_structured_witness(rng, m, n))

@@ -37,7 +37,7 @@ from .spectral import CharPoly
 #: the C encoder, with an item separator that no number's text contains
 _COMPACT = json.JSONEncoder(allow_nan=False, separators=("|", ":"))
 _PRETTY = json.JSONEncoder(allow_nan=False, indent=2)
-#: scalar types encoded and decoded in bulk; other int and float subclasses go one by one
+#: scalar types encoded in bulk; other int and float subclasses go one by one
 _NUMBERS = {int, float, np.float64}
 
 
@@ -86,44 +86,18 @@ def _flatten(nest, shape) -> tuple[list, int]:
     return level, len(shape)
 
 
-def _encode_scalar(value: complex):
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
-
-
 def _is_int(value) -> bool:  # JSON true and false decode to bools, which are ints
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_finite_number(value) -> bool:
-    return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-
-
-def _decode_scalar(payload, where: str) -> complex:
-    """A number or ``[re, im]``; NaN and infinities are rejected."""
-    with suppress(OverflowError):  # from isfinite, on an integer beyond the float range
-        if _is_finite_number(payload):
-            return complex(payload)
-        pair = isinstance(payload, list) and len(payload) == 2
-        if pair and all(map(_is_finite_number, payload)):
-            return complex(payload[0], payload[1])
-    raise FormatError(
-        f"{where}: scalar must be a finite number or [re, im], got {payload!r}"
-    )
-
-
-def _dense_scalars(payload, order: int, dim: int) -> np.ndarray:
-    """The entries of a dense payload, flat, with the scalar types checked in
-    bulk; a payload that fails is read scalar by scalar to name its first bad one."""
-    scalars, depth = _flatten(payload, (dim,) * order)
-    if depth < order:
-        kind = "scalars" if depth == order - 1 else "sub-arrays"
-        raise FormatError(f"dense entries: expected a list of {dim} {kind}")
+def _bulk(scalars: list) -> np.ndarray | None:
+    """Numbers and ``[re, im]`` pairs, decoded with the scalar types checked in
+    bulk, or ``None`` when one of them is not finite or not a scalar."""
     is_pair = list(map(isinstance, scalars, repeat(list)))
     pairs = list(compress(scalars, is_pair))
     kinds = set(map(type, scalars)) - {list} | set(map(type, chain.from_iterable(pairs)))
-    if set(map(len, pairs)) <= {2} and kinds <= _NUMBERS:
+    numbers = bool not in kinds and all(issubclass(k, (int, float)) for k in kinds)
+    if set(map(len, pairs)) <= {2} and numbers:
         values = np.zeros(len(scalars), dtype=np.complex128)
         mask = np.array(is_pair, dtype=bool)
         with suppress(OverflowError):  # an integer beyond the float range
@@ -131,21 +105,33 @@ def _dense_scalars(payload, order: int, dim: int) -> np.ndarray:
             values[mask] = np.array(pairs, dtype=float).reshape(-1, 2).view(np.complex128).ravel()
             if np.isfinite(values).all():
                 return values
-    return np.array([_decode_scalar(v, "dense entries") for v in scalars], dtype=np.complex128)
+    return None
+
+
+def _scalars(scalars: list, where: str) -> np.ndarray:
+    """``_bulk(scalars)``; a list that fails is read scalar by scalar to name its first bad one."""
+    values = _bulk(scalars)
+    if values is None:
+        bad = next(v for v in scalars if _bulk([v]) is None)
+        raise FormatError(f"{where}: scalar must be a finite number or [re, im], got {bad!r}")
+    return values
+
+
+def _encode(values: np.ndarray) -> list:
+    """The JSON scalars of complex ``values``: ``re`` when ``im`` is zero, else ``[re, im]``."""
+    return [[re, im] if im else re for re, im in zip(values.real.tolist(), values.imag.tolist())]
 
 
 def tensor_to_dict(t: Tensor, format: str = "dense") -> dict:
     if format == "dense":
-        data = t.data.ravel()
-        nest = [[re, im] if im else re for re, im in zip(data.real.tolist(), data.imag.tolist())]
+        nest = _encode(t.data.ravel())
         for _ in range(t.order - 1):
             nest = [nest[i:i + t.dim] for i in range(0, len(nest), t.dim)]
         return {"order": t.order, "dim": t.dim, "format": "dense", "entries": nest}
     if format == "sparse":
-        entries = []
-        for pos in np.argwhere(t.data != 0):
-            idx = [int(c) + 1 for c in pos]
-            entries.append({"idx": idx, "val": _encode_scalar(complex(t.data[tuple(pos)]))})
+        pos = np.argwhere(t.data != 0)
+        vals = _encode(t.data[tuple(pos.T)])
+        entries = [{"idx": idx, "val": v} for idx, v in zip((pos + 1).tolist(), vals)]
         return {"order": t.order, "dim": t.dim, "format": "sparse", "entries": entries}
     raise FormatError(f"unknown tensor format {format!r}")
 
@@ -165,12 +151,15 @@ def tensor_from_dict(obj) -> Tensor:
         raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
     fmt = obj["format"]
     if fmt == "dense":
-        return Tensor(_dense_scalars(obj.get("entries"), order, dim).reshape((dim,) * order))
+        scalars, depth = _flatten(obj.get("entries"), (dim,) * order)
+        if depth < order:
+            kind = "scalars" if depth == order - 1 else "sub-arrays"
+            raise FormatError(f"dense entries: expected a list of {dim} {kind}")
+        return Tensor(_scalars(scalars, "dense entries").reshape((dim,) * order))
     if fmt == "sparse":
         entries = obj.get("entries")
         if not isinstance(entries, list):
             raise FormatError("sparse entries must be a list")
-        data = np.zeros((dim,) * order, dtype=np.complex128)
         seen = set()
         for entry in entries:
             if not isinstance(entry, dict) or "idx" not in entry or "val" not in entry:
@@ -183,7 +172,9 @@ def tensor_from_dict(obj) -> Tensor:
             if key in seen:
                 raise FormatError(f"duplicate sparse index {idx}")
             seen.add(key)
-            data[tuple(c - 1 for c in idx)] = _decode_scalar(entry["val"], "sparse value")
+        data = np.zeros((dim,) * order, dtype=np.complex128)
+        pos = np.array([e["idx"] for e in entries], dtype=np.intp).reshape(-1, order) - 1
+        data[tuple(pos.T)] = _scalars([e["val"] for e in entries], "sparse value")
         return Tensor(data)
     raise FormatError(f"unknown tensor format {fmt!r}")
 
@@ -255,8 +246,8 @@ def structured_witness_from_dict(obj) -> StructuredWitness:
     dvals = obj["d"]
     if not isinstance(dvals, list):
         raise FormatError("d must be a list of scalars")
-    d = [_decode_scalar(v, "diagonal value") for v in dvals]
-    return StructuredWitness(Permutation(tuple(sigma)), DiagonalScaling(np.array(d)), obj["m"])
+    d = _scalars(dvals, "diagonal value")
+    return StructuredWitness(Permutation(tuple(sigma)), DiagonalScaling(d), obj["m"])
 
 
 def read_structured_witness(path) -> StructuredWitness:
@@ -282,7 +273,7 @@ def charpoly_to_dict(cp: CharPoly) -> dict:
 def charpoly_from_dict(obj) -> CharPoly:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise FormatError("charpoly payload must carry coeffs")
-    coeffs = [_decode_scalar(c, "charpoly coefficient") for c in obj["coeffs"]]
+    coeffs = _scalars(obj["coeffs"], "charpoly coefficient").tolist()
     if "degree" in obj and (not _is_int(obj["degree"]) or obj["degree"] != len(coeffs) - 1):
         raise FormatError("charpoly degree does not match coefficient count")
     return CharPoly(tuple(coeffs))

@@ -226,3 +226,8 @@ class TestDiagonalTensor:
         assert t.data[0, 0, 0] == 2 and t.data[1, 1, 1] == 3
         assert nnz(t) == 2
         assert is_diagonal(t)
+
+    def test_entry_limit_checked_before_allocating(self):
+        # 2**64 entries: numpy would refuse the allocation with a ValueError
+        with pytest.raises(EntryLimitError, match=r"2\*\*64 entries"):
+            diagonal_tensor(64, [1, 2])

@@ -119,6 +119,15 @@ class TestPatternPermutations:
         zb = sparse(3, 2, {(2, 1, 1): 1})
         assert list(pattern_permutations(za, zb)) == [Permutation((2, 1))]
 
+    def test_frozen_membership_check(self):
+        # (2, 4, 5, 3, 1) and (4, 2, 1, 3, 5) pass the count of closed tuples, yet
+        # send (1, 1, 3) of b outside Z(a): only the membership check drops them
+        za = sparse(3, 5, {(2, 2, 1): 1, (4, 4, 5): 1})
+        zb = sparse(3, 5, {(1, 1, 3): 1, (2, 2, 5): 1})
+        expected = [Permutation((2, 4, 1, 3, 5)), Permutation((4, 2, 5, 3, 1))]
+        assert brute_force_pattern_perms(za, zb) == expected
+        assert list(pattern_permutations(za, zb)) == expected
+
     def test_count_mismatch_is_empty(self):
         za = zero_pattern(unit_tensor(3, 2))
         zb = sparse(3, 2, {(1, 1, 1): 1, (2, 2, 2): 1, (1, 2, 2): 1})

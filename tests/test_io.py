@@ -413,6 +413,34 @@ class TestDenseDecoder:
             tensor_from_dict(doc)
 
 
+class Int(int):
+    """An int subclass other than bool: a number like any other int."""
+
+
+class TestSparseDecoder:
+    @given(data=st.data())
+    def test_bytes_equal_entry_by_entry(self, data):
+        order, dim = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        cells = data.draw(st.lists(st.tuples(*[st.integers(1, dim)] * order), unique=True))
+        number = decode_numbers | st.integers(-9, 9).map(Int)
+        scalar = number | st.lists(number, min_size=2, max_size=2)
+        vals = data.draw(st.lists(scalar, min_size=len(cells), max_size=len(cells)))
+        entries = [{"idx": list(cell), "val": val} for cell, val in zip(cells, vals)]
+        doc = {"order": order, "dim": dim, "format": "sparse", "entries": entries}
+        want = np.zeros((dim,) * order, dtype=np.complex128)
+        for cell, val in zip(cells, vals):
+            value = complex(*val) if isinstance(val, list) else complex(val)
+            want[tuple(i - 1 for i in cell)] = value
+        assert tensor_from_dict(doc).data.tobytes() == want.tobytes()
+
+    def test_message_names_the_bad_value(self):
+        entries = [{"idx": [1, 1], "val": 1.0}, {"idx": [2, 1], "val": [1.0, "2"]}]
+        doc = {"order": 2, "dim": 2, "format": "sparse", "entries": entries}
+        message = "sparse value: scalar must be a finite number or [re, im], got [1.0, '2']"
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            tensor_from_dict(doc)
+
+
 class TestLongIntegers:
     """An integer beyond the float range is a format error, not a crash."""
 

@@ -218,11 +218,21 @@ class TestDecomposeWitness:
     def test_rejects_inconsistent_p(self):
         s = StructuredWitness(swap2(), DiagonalScaling([2.0, 3.0]), 3)
         w = compose_witness(s)
-        # a wrong P that still happens to satisfy the unit identity cannot
-        # exist, so tamper with Q instead to break the P consistency check
+        # a Q tampered with by 1e-3 is already caught by the unit check
         q_bad = Tensor(w.q.data * 1.0)
         with pytest.raises(WitnessError):
             decompose_witness(Witness(w.p, Tensor(q_bad.data + 1e-3), 3))
+        # a wrong P can pass the unit check: with d = 0.1 at m = 4, P off by
+        # 5e-8 moves P (I Q) by 5e-8 * 0.1**3 = 5e-11, within STRUCTURAL_TOL,
+        # while P itself is off by more than COMPARE_TOL
+        s = StructuredWitness(Permutation((2, 3, 1)), DiagonalScaling([0.1] * 3), 4)
+        w = compose_witness(s)
+        p_bad = w.p.data.copy()
+        p_bad[1, 0] += 5e-8
+        bad = Witness(Tensor(p_bad), w.q, 4)
+        assert check_unit_preserving(bad)
+        with pytest.raises(WitnessError, match="inconsistent"):
+            decompose_witness(bad)
 
 
 def report_cases(rng, m):
