@@ -22,15 +22,15 @@ bound, one pass over the rest, one echelon form); no float passes through
 it.  A candidate is accepted only if it rebuilds every nonzero of ``B``
 within the relative tolerance: that test, not the solve, is the authority.
 
-The candidates ``sigma`` are the relabelings of the zero pattern that a
-joint colour refinement of the two patterns (the canonical hash's) allows,
-masked by value: a diagonal position has net exponent zero, so ``b[v..v]``
-can only come from an ``a[w..w]`` equal to it within the acceptance
-tolerance (exact for tolerances well above ``1e-13``).  One candidate per
-label is checked with one gather; otherwise a backtracking search checks
-each node against the nonzeros its newest label completes.  Dense tensors
-with pairwise distinct diagonals so cost one gather and one solve, not
-``n!``; repeated diagonal values still cost up to ``n!``.
+The candidates ``sigma`` are the relabelings of the zero pattern allowed by
+value (a diagonal position has net exponent zero, so ``b[v..v]`` can only
+come from an ``a[w..w]`` equal to it within the acceptance tolerance, exact
+for tolerances well above ``1e-13``) and, unless the values pin every label,
+by a joint colour refinement of the two patterns (the canonical hash's).
+One candidate per label is checked with one gather, else a backtracking
+search checks each node against the nonzeros its newest label completes.
+Dense tensors with distinct diagonals so cost one gather, one build, one
+solve, no refinement; repeated diagonal values still cost up to ``n!``.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -120,44 +120,44 @@ def pattern_permutations(
 
     When every label is left one candidate, that single relabeling is
     checked with one gather: it must be injective and map every nonzero of
-    ``b`` onto a nonzero of ``a``.  Otherwise the search backtracks over
-    partial assignments in lexicographic order of the image tuple, and each
-    node of the search is checked incrementally.  Assigning ``pi(v) = w``
-    completes the nonzeros of ``b`` whose largest label is ``v``, and each
-    must map onto a nonzero of ``a``; it completes the nonzeros of ``a``
-    that contain ``w`` and whose other labels are already images, and there
-    must be as many of those.  The parent node balanced the counts of all
-    earlier nonzeros, so the whole assigned prefix then maps onto exactly the
+    ``b`` onto a nonzero of ``a``; when ``allowed`` alone pins every label,
+    nothing is refined first, as refinement only drops candidates that no
+    relabeling uses.  Otherwise the search backtracks over partial
+    assignments in lexicographic order of the image tuple, and each node of
+    the search is checked incrementally.  Assigning ``pi(v) = w`` completes
+    the nonzeros of ``b`` whose largest label is ``v``, and each must map
+    onto a nonzero of ``a``; it completes the nonzeros of ``a`` that contain
+    ``w`` and whose other labels are already images, and there must be as
+    many of those.  The parent node balanced the counts of all earlier
+    nonzeros, so the whole assigned prefix then maps onto exactly the
     nonzeros of ``a`` among its images.
     """
     if a.shape != b.shape:
         return
-    ja, jb = np.argwhere(a.data != 0), np.argwhere(b.data != 0)
-    if len(ja) != len(jb):
+    nz_a, jb = a.data != 0, np.argwhere(b.data != 0)
+    if np.count_nonzero(nz_a) != len(jb):
         return
     n = a.dim
     allowed = np.ones((n, n), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
     if allowed.shape != (n, n):
         raise ShapeError(f"allowed mask must have shape ({n}, {n})")
-
-    def statistics(j: np.ndarray) -> np.ndarray:
-        """Per label, the nonzeros it leads and the nonzeros in which it
-        occurs among the trailing indices, packed into one integer."""
+    ok, counts = allowed, allowed.sum(axis=1)
+    if not (counts == 1).all():  # a pinned map needs no refinement: the gather decides it
+        ja = np.argwhere(nz_a)
+        j = np.vstack([ja, jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
+        # per label, the nonzeros it leads and those with it among the trailing indices
         tails = np.sort(j[:, 1:], axis=1)
         first = np.ones(tails.shape, dtype=bool)
         first[:, 1:] = tails[:, 1:] != tails[:, :-1]
-        heads = np.bincount(j[:, 0], minlength=n)
-        return heads * (len(j) + 1) + np.bincount(tails[first], minlength=n)
-
-    # labels 0..n-1 are a's, n..2n-1 are b's
-    _, col = np.unique(np.concatenate([statistics(ja), statistics(jb)]), return_inverse=True)
-    col = _refine(col, np.vstack([ja, jb + n]), n)
-    if col is None:
-        return
-    ok = (col[n:, None] == col[:n]) & allowed
-    counts = ok.sum(axis=1)
-    if not counts.all():
-        return
+        heads = np.bincount(j[:, 0], minlength=2 * n)
+        stats = heads * (len(jb) + 1) + np.bincount(tails[first], minlength=2 * n)
+        col = _refine(np.unique(stats, return_inverse=True)[1], j, n)
+        if col is None:
+            return
+        ok = (col[n:, None] == col[:n]) & allowed
+        counts = ok.sum(axis=1)
+        if not counts.all():
+            return
     if (counts == 1).all():
         pi = ok.argmax(axis=1)
         if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():

@@ -273,6 +273,8 @@ def charpoly_to_dict(cp: CharPoly) -> dict:
 def charpoly_from_dict(obj) -> CharPoly:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise FormatError("charpoly payload must carry coeffs")
+    if not isinstance(obj["coeffs"], list):
+        raise FormatError("charpoly coeffs must be a list of scalars")
     coeffs = _scalars(obj["coeffs"], "charpoly coefficient").tolist()
     if "degree" in obj and (not _is_int(obj["degree"]) or obj["degree"] != len(coeffs) - 1):
         raise FormatError("charpoly degree does not match coefficient count")

@@ -276,6 +276,44 @@ class TestDecideCommand:
         assert s.m == 3
 
 
+def numpy_pair(seed, m, n, density):
+    """``(a, b)`` drawn with numpy alone: ``b[s(j)] = a[j] d_j1^(1-m) d_j2 ... d_jm``."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1, 2, (n,) * m) * (rng.uniform(size=(n,) * m) < density)
+    d, s = rng.uniform(0.5, 2, n), rng.permutation(n)
+    c = a / d.reshape((n,) + (1,) * (m - 1)) ** (m - 1)
+    for k in range(1, m):
+        c = c * d.reshape((n,) + (1,) * (m - 1 - k))  # d along axis k
+    b = np.empty_like(c)
+    b[np.ix_(*[s] * m)] = c
+    return a, b
+
+
+class TestDecideGolden:
+    """``tensim decide`` stdout, byte for byte.  The dense pairs have distinct
+    diagonals, so the diagonal values alone fix the relabeling; the sparse
+    pair's zero diagonals leave the pattern search to fix it."""
+
+    @pytest.mark.parametrize(
+        "name, seed, m, n, density, fmt",
+        [
+            ("dense_fwd", 0, 3, 5, 1.0, "dense"),
+            ("dense_not", 1, 4, 4, 1.0, "dense"),
+            ("sparse_fwd", 2, 3, 12, 0.2, "sparse"),
+        ],
+    )
+    def test_byte_exact_output(self, tmp_path, name, seed, m, n, density, fmt):
+        a, b = numpy_pair(seed, m, n, density)
+        if name == "dense_not":
+            # one scaled entry changes the scaling invariant b[3,0,0,0] * b[0,3,3,3]
+            b[(n - 1,) + (0,) * (m - 1)] *= 1.5
+        write_tensor(Tensor(a), tmp_path / "a.json", format=fmt)
+        write_tensor(Tensor(b), tmp_path / "b.json", format=fmt)
+        code, out, _ = run_cli(["decide", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert code == (1 if name == "dense_not" else 0)
+        assert out == (GOLDEN_DIR / f"decide_{name}.json").read_text()
+
+
 class TestInvariantsCommand:
     def test_report_fields(self, tmp_path):
         write_tensor(unit_tensor(3, 2), tmp_path / "a.json")

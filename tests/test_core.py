@@ -231,3 +231,11 @@ class TestDiagonalTensor:
         # 2**64 entries: numpy would refuse the allocation with a ValueError
         with pytest.raises(EntryLimitError, match=r"2\*\*64 entries"):
             diagonal_tensor(64, [1, 2])
+
+    def test_numpy_integer_order_checked_as_an_int(self):
+        # 2 ** np.int64(64) wraps to 0, which once passed the entry-limit check
+        with pytest.raises(EntryLimitError, match=r"2\*\*64 entries"):
+            unit_tensor(np.int64(64), 2)
+        with pytest.raises(EntryLimitError, match=r"2\*\*64 entries"):
+            diagonal_tensor(np.int64(64), [1, 2])
+        assert unit_tensor(np.int64(3), 2) == unit_tensor(3, 2)

@@ -582,6 +582,55 @@ class TestSearchRegressions:
         assert decide_similar(a, perturbed(b, (2, 2, 2), 1 + 4 * DECISION_TOL)) is None
 
 
+class TestPinnedRelabelings:
+    """A mask that leaves every label one candidate pins the relabeling: one
+    gather decides it, and no colour refinement runs."""
+
+    @pytest.fixture
+    def refinements(self, monkeypatch):
+        calls = []
+        refine = decision._refine
+
+        def counted(*args):
+            calls.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(decision, "_refine", counted)
+        return calls
+
+    @pytest.mark.parametrize("m, n", [(3, 5), (4, 4), (3, 8)])
+    def test_distinct_diagonals_refine_nothing(self, m, n, refinements):
+        a, b = seeded_forward_pair(m * 10 + n, m, n, 1.0)
+        assert decide_similar(a, b) is not None
+        assert decide_similar(a, perturbed(b, (0,) * (m - 1) + (1,), 1.5)) is None
+        assert refinements == []
+
+    def test_zero_diagonals_still_refine(self, refinements):
+        a, b = seeded_forward_pair(7, 3, 12, 0.2)
+        assert decide_similar(a, b) is not None
+        assert len(refinements) == 1
+
+    @pytest.mark.parametrize("m, n, density", [(3, 5, 0.3), (3, 6, 0.5), (4, 4, 0.4)])
+    def test_pinned_masks_match_brute_force(self, m, n, density):
+        rng = np.random.default_rng(100 * m + n)
+        for _ in range(8):
+            za = zero_pattern(random_tensor(rng, m, n, density=density))
+            zb = relabeled(za, rng.permutation(n))
+            isomorphisms = brute_force_masked(za, zb)
+            pin = np.eye(n, dtype=bool)
+            hit = pin[np.array(isomorphisms[rng.integers(len(isomorphisms))].images) - 1]
+            others = [p for p in itertools.permutations(range(n))
+                      if Permutation(tuple(w + 1 for w in p)) not in isomorphisms]
+            miss = pin[list(others[rng.integers(len(others))])]  # not a pattern isomorphism
+            collide = hit.copy()
+            collide[1] = collide[0]  # one candidate per label, two labels share it
+            for allowed in (hit, miss, collide):
+                got = list(pattern_permutations(za, zb, allowed=allowed))
+                assert got == brute_force_masked(za, zb, allowed)
+            assert list(pattern_permutations(za, zb, allowed=miss)) == []
+            assert list(pattern_permutations(za, zb, allowed=collide)) == []
+
+
 class TestDecideSimilar:
     def test_self_similarity(self):
         rng = np.random.default_rng(2)

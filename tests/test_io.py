@@ -285,6 +285,11 @@ class TestCharPolySerialization:
         with pytest.raises(FormatError):
             charpoly_from_dict({"degree": 3, "coeffs": [[1, 0], [2, 0]]})
 
+    @pytest.mark.parametrize("coeffs", [5, None, "12", {"re": 1}])
+    def test_coeffs_must_be_a_list(self, coeffs):
+        with pytest.raises(FormatError, match="coeffs"):
+            charpoly_from_dict({"coeffs": coeffs})
+
 
 # ---------------------------------------------------------------------------
 # The encoder: the text of json.dumps(doc, indent=2, allow_nan=False)

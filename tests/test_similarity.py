@@ -296,6 +296,29 @@ class TestWitnessStructureReport:
             assert witness_structure_report(w).passed
 
 
+class Counted(np.ndarray):
+    """An array that adds ``rows * inner * columns`` of each matrix product it
+    enters to ``Counted.work``."""
+
+    work = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            Counted.work += np.shape(inputs[0])[0] * np.size(inputs[1])
+        inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class CountedTensor(Tensor):
+    """A tensor whose ``data`` counts the matrix products it enters."""
+
+    __slots__ = ()
+
+    @property
+    def data(self):
+        return self._data.view(Counted)
+
+
 class TestWitnessChecksPastTheDenseLimit:
     """A generalized-permutation Q enumerates no tail, so the checks cost
     O(n**2) where the dense image P (I Q) held n**m entries."""
@@ -332,16 +355,18 @@ class TestWitnessChecksPastTheDenseLimit:
                 check(Witness(Tensor(np.eye(120)), Tensor(q), 4))
         assert time.perf_counter() - start < 0.5
 
-    def test_sparse_rows_cost_only_the_rows_that_hold_a_tail(self):
+    def test_sparse_rows_cost_only_the_rows_that_hold_a_tail(self, monkeypatch):
         # 400 rows of 10 nonzeros: a tail's column of I Q is zero off the few rows
-        # holding both its labels; P C over all 400 rows took over a second
+        # holding both its labels.  The products with P cost about 3 n^3
+        # multiply-adds, n^3 of them for P M; P C over all 400 rows costs 82 n^3
+        n = 400
         rng = np.random.default_rng(0)
-        q = np.zeros((400, 400))
+        q = np.zeros((n, n))
         for row in q:
-            row[rng.choice(400, 10, replace=False)] = rng.normal(size=10)
-        start = time.perf_counter()
-        assert not check_unit_preserving(Witness(Tensor(np.eye(400)), Tensor(q), 3))
-        assert time.perf_counter() - start < 0.6
+            row[rng.choice(n, 10, replace=False)] = rng.normal(size=10)
+        monkeypatch.setattr(Counted, "work", 0)
+        assert not check_unit_preserving(Witness(CountedTensor(np.eye(n)), Tensor(q), 3))
+        assert Counted.work < 10 * n**3
 
     @pytest.mark.parametrize("m, n, per_row", [(3, 24, 3), (4, 10, 3), (5, 6, 2)])
     def test_sparse_rows_match_the_dense_image(self, m, n, per_row):
