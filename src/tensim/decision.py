@@ -13,14 +13,16 @@ modulo ``2*pi*i``.  The integer exponent matrix ``E`` has rows summing to
 zero (a global scalar is a gauge freedom) and depends only on the support
 of ``A``, not on ``sigma``.  So :func:`decide_similar` builds it once and
 then solves each candidate ``sigma`` with a few matrix-vector products:
-``log|d|`` by real least squares, and the phases by interpolating them
+``log|d|`` by real least squares, rejecting ``sigma`` when some modulus
+``|a| exp(E log|d|)`` misses ``|b|``, then the phases by interpolating them
 through a basis of the integer lattice of the rows of ``E``, each basis row
-a known integer combination of rows of ``E``, then rounding every row to
-whole turns and fitting least squares to the unwrapped phases.  The basis
-comes from exact elimination on Python integers (rows of ``E`` up to a rank
-bound, one pass over the rest, one echelon form); no float passes through
-it.  A candidate is accepted only if it rebuilds every nonzero of ``B``
-within the relative tolerance: that test, not the solve, is the authority.
+a known integer combination of rows of ``E``, rounding every row to whole
+turns and fitting least squares to the unwrapped phases.  The basis comes
+from exact elimination on Python integers (rows of ``E`` up to a rank
+bound, then, at the first candidate whose moduli fit, one pass over the
+rest and one echelon form); no float passes through it.  A candidate is
+accepted only if it rebuilds every nonzero of ``B`` within the relative
+tolerance: that test, not the solve, is the authority.
 
 The candidates ``sigma`` are the relabelings of the zero pattern allowed by
 value (a diagonal position has net exponent zero, so ``b[v..v]`` can only
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Iterator
 
@@ -120,9 +123,9 @@ def pattern_permutations(
 
     When every label is left one candidate, that single relabeling is
     checked with one gather: it must be injective and map every nonzero of
-    ``b`` onto a nonzero of ``a``; when ``allowed`` alone pins every label,
-    nothing is refined first, as refinement only drops candidates that no
-    relabeling uses.  Otherwise the search backtracks over partial
+    ``b`` onto a nonzero of ``a``; when ``allowed`` alone pins every label or
+    leaves one none, nothing is refined first, as refinement only drops
+    candidates no relabeling uses.  Otherwise the search backtracks over partial
     assignments in lexicographic order of the image tuple, and each node of
     the search is checked incrementally.  Assigning ``pi(v) = w`` completes
     the nonzeros of ``b`` whose largest label is ``v``, and each must map
@@ -142,7 +145,7 @@ def pattern_permutations(
     if allowed.shape != (n, n):
         raise ShapeError(f"allowed mask must have shape ({n}, {n})")
     ok, counts = allowed, allowed.sum(axis=1)
-    if not (counts == 1).all():  # a pinned map needs no refinement: the gather decides it
+    if counts.all() and counts.max() > 1:  # a pinned map needs no refinement: the gather decides it
         ja = np.argwhere(nz_a)
         j = np.vstack([ja, jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
         # per label, the nonzeros it leads and those with it among the trailing indices
@@ -156,8 +159,8 @@ def pattern_permutations(
             return
         ok = (col[n:, None] == col[:n]) & allowed
         counts = ok.sum(axis=1)
-        if not counts.all():
-            return
+    if not counts.all():
+        return
     if (counts == 1).all():
         pi = ok.argmax(axis=1)
         if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
@@ -264,18 +267,24 @@ class _ScalingSolve:
     """The part of the scaling solve that depends only on the support of ``A``.
 
     Row ``i`` of ``E``, the net exponent vector of ``A``'s ``i``-th nonzero
-    ``j`` (``1 - m`` at ``j_1``, one more at each of ``j_2, ..., j_m``), is
-    held as the multi-indices and the slot weights.  ``F`` holds the distinct
-    rows of ``E`` by size, each with its count.  Its rows join an echelon
-    basis of the lattice ``L(G)`` (:func:`_join`) as they are read: first
-    the linearly independent ones, up to the rank bound ``n - c`` (each of
-    the ``c`` components of the support has its indicator in the kernel of
-    ``E``), then, in one pass, those outside ``L(G)``, until every pivot is
-    ``+-1``.  One echelon form ``H = U G`` is then a lattice basis of known
+    ``j`` (``1 - m`` at ``j_1``, one more at each of ``j_2, ..., j_m``), is held
+    as the multi-indices and the slot weights.  ``F`` holds the distinct rows of
+    ``E`` by size, each with its count.  Its rows join an echelon basis of the
+    lattice ``L(G)`` (:func:`_join`) as they are read: first the linearly
+    independent ones, up to the rank bound ``n - c`` (each of the ``c``
+    components of the support has its indicator in the kernel of ``E``), whose
+    pivot columns ``P`` are the labels solved for, the others the gauge
+    (``d = 1``).  The fits use ``E^T E = F^T diag(count) F`` on ``P``, in
+    float64 exactly (< ``2^53``).  :meth:`solve` fits ``log|d|`` first and
+    rejects the candidate when some ``|a| exp(E log|d|)`` misses ``|b|`` by
+    more than ``(rtol + 1e-12) |b|``: as ``||r| - |b|| <= |r - b|``, the rebuild
+    would reject it too, at every ``rtol >= 0``, while rounding stays within
+    ``1e-12`` (measured below ``2 m ulp max|log|d||``, so for ``m max|log|d||``
+    up to about ``10^3``).  At the first candidate that passes, the rows outside
+    ``L(G)`` join in one pass, until every pivot is ``+-1``, and one echelon
+    form ``H = U G`` (``g_rows``, ``interp``) is a lattice basis of known
     integer combinations of rows of ``E``: the phases of ``H x`` follow from
-    those of ``E x`` and fix every row's phase modulo ``2*pi``.  Its pivot
-    columns ``P`` are the labels solved for, the others the gauge (``d = 1``).
-    The fits use ``E^T E = F^T diag(count) F`` on ``P``, in float64 exactly (< ``2^53``).
+    those of ``E x`` and fix every row's phase modulo ``2*pi``.
     """
 
     def __init__(self, a: Tensor):
@@ -307,19 +316,24 @@ class _ScalingSolve:
                 g.append(i)
                 if len(basis) == rank:
                     break
+        self.p = sorted(basis)  # G spans the rows of E: its pivots are those of any echelon form
+        self._lattice = f, first, basis, g  # closed by _phase, at the first fit of the magnitudes
+        fp = f[:, self.p].astype(float)
+        self.gram_inv = np.linalg.inv((fp.T * count) @ fp)
+
+    @cached_property
+    def _phase(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(g_rows, interp)``: the second pass of the join, then ``H = U G``."""
+        f, first, basis, g = self._lattice
         for i in range(len(f)):  # a row joins when it is outside L(G); G's rows are inside
             if all(abs(h[c]) == 1 for c, h in basis.items()):
                 break
-            joined = _join(basis, dict(compress(enumerate(row := f[i].tolist()), row)))
-            basis |= joined
+            basis |= (joined := _join(basis, dict(compress(enumerate(row := f[i].tolist()), row))))
             g += [i] * bool(joined)
-        hu, self.p = _echelon(np.hstack([f[g], np.eye(len(g), dtype=np.int64)]), n)
-        h = hu[: len(self.p), :n]
-        self.g_rows = first[g]
-        u = hu[: len(self.p), n:].astype(float)
-        self.interp = np.linalg.solve(h[:, self.p].astype(float), u)
-        fp = f[:, self.p].astype(float)
-        self.gram_inv = np.linalg.inv((fp.T * count) @ fp)
+        hu = _echelon(np.hstack([f[g], np.eye(len(g), dtype=np.int64)]), self.n)[0][: len(self.p)]
+        return first[g], np.linalg.solve(hu[:, self.p].astype(float), hu[:, self.n :].astype(float))
+
+    g_rows, interp = (property(lambda self, i=i: self._phase[i]) for i in range(2))
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """``E @ x``."""
@@ -337,14 +351,15 @@ class _ScalingSolve:
         if b_vals.size != np.count_nonzero(b.data) or not b_vals.all():
             return None
         ratio = b_vals / self.a_vals
-        log_mag = self._fit(np.log(np.abs(ratio)))
+        log_mag = self._fit(log_ratio := np.log(np.abs(ratio)))
+        if not (np.abs(np.expm1(self._apply(log_mag) - log_ratio)) <= rtol + 1e-12).all():
+            return None  # some |a| exp(E log|d|) misses |b|: so would the rebuild
         turns = np.angle(ratio) / (2.0 * np.pi)
         base = np.zeros(self.n)
         base[self.p] = self.interp @ turns[self.g_rows]
         wraps = np.rint(self._apply(base) - turns)
         x = log_mag + 2j * np.pi * self._fit(turns + wraps)
-        rebuilt = self.a_vals * np.exp(self._apply(x))
-        if np.all(np.abs(rebuilt - b_vals) <= rtol * np.abs(b_vals)):
+        if np.all(np.abs(self.a_vals * np.exp(self._apply(x)) - b_vals) <= rtol * np.abs(b_vals)):
             return DiagonalScaling(np.exp(x))
         return None
 
@@ -390,7 +405,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     within ``rtol * |b[v..v]|``; the factor 2 absorbs the rounding.  At
     smaller ``rtol`` the rounding can exceed that margin and the mask may
     drop a permutation the rebuild would accept.  The masked permutations
-    are skipped, and the solve still decides every other one.
+    are skipped, and the solve decides every other one, magnitudes first:
+    the phase lattice is built at the first candidate whose magnitudes fit.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")
@@ -401,9 +417,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
     scaling = None  # built at the first candidate: most unrelated pairs yield none
     for pi in pattern_permutations(a, b, allowed=allowed):
-        sigma = pi.inverse()
         scaling = scaling or _ScalingSolve(a)
-        d = scaling.solve(b, sigma, rtol)
+        d = scaling.solve(b, sigma := pi.inverse(), rtol)
         if d is not None:
             return StructuredWitness(sigma, d, a.order)
     return None

@@ -268,3 +268,16 @@ def reference_scaling_lattice(a: Tensor) -> tuple[np.ndarray, list[int], np.ndar
         for k, wk in enumerate(w)
     ).reshape(n, n)
     return g_rows, p, interp, np.linalg.inv(gram[np.ix_(p, p)])
+
+
+def numpy_pair(seed, m, n, density):
+    """``(a, b)`` drawn with numpy alone: ``b[s(j)] = a[j] d_j1^(1-m) d_j2 ... d_jm``."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(1, 2, (n,) * m) * (rng.uniform(size=(n,) * m) < density)
+    d, s = rng.uniform(0.5, 2, n), rng.permutation(n)
+    c = a / d.reshape((n,) + (1,) * (m - 1)) ** (m - 1)
+    for k in range(1, m):
+        c = c * d.reshape((n,) + (1,) * (m - 1 - k))  # d along axis k
+    b = np.empty_like(c)
+    b[np.ix_(*[s] * m)] = c
+    return a, b

@@ -29,6 +29,8 @@ from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
 
+from reference import numpy_pair
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
@@ -274,19 +276,6 @@ class TestDecideCommand:
 
         s = read_structured_witness(out_path)
         assert s.m == 3
-
-
-def numpy_pair(seed, m, n, density):
-    """``(a, b)`` drawn with numpy alone: ``b[s(j)] = a[j] d_j1^(1-m) d_j2 ... d_jm``."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(1, 2, (n,) * m) * (rng.uniform(size=(n,) * m) < density)
-    d, s = rng.uniform(0.5, 2, n), rng.permutation(n)
-    c = a / d.reshape((n,) + (1,) * (m - 1)) ** (m - 1)
-    for k in range(1, m):
-        c = c * d.reshape((n,) + (1,) * (m - 1 - k))  # d along axis k
-    b = np.empty_like(c)
-    b[np.ix_(*[s] * m)] = c
-    return a, b
 
 
 class TestDecideGolden:

@@ -38,6 +38,7 @@ from tensim.generate import (
 from reference import (
     brute_force_pattern_key,
     naive_relabel,
+    numpy_pair,
     oracle_similar,
     reference_echelon,
     reference_scaling_lattice,
@@ -506,6 +507,13 @@ class TestScalingLatticeOracle:
         s = decision._ScalingSolve(large_index_support(40))
         assert len(s.g_rows) == 2 * 40 - 3
         assert calls == [1]
+        # a decide closes the lattice once, at the first candidate whose magnitudes fit
+        calls.clear()
+        a, rng = large_index_support(40), np.random.default_rng(0)
+        d = DiagonalScaling(np.exp(rng.uniform(-1, 1, 40) + 1j * rng.uniform(-np.pi, np.pi, 40)))
+        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(40)))
+        assert decide_similar(a, structured_transform(a, StructuredWitness(sigma, d, 3))) is not None
+        assert calls == [1]
 
 
 class TestTiedStatistics:
@@ -610,6 +618,22 @@ class TestPinnedRelabelings:
         assert decide_similar(a, b) is not None
         assert len(refinements) == 1
 
+    def test_a_label_without_candidates_refines_nothing(self, refinements):
+        # no diagonal entry of a is three times b[12,12,12]: label 12 of b has
+        # no candidate, and the sequence is empty before any label statistics
+        a, b = seeded_forward_pair(0, 3, 30, 0.05)
+        assert b.data[12, 12, 12] != 0
+        assert decide_similar(a, perturbed(b, (12, 12, 12), 3.0)) is None
+        assert list(pattern_permutations(a, b, allowed=np.zeros((30, 30), dtype=bool))) == []
+        assert refinements == []
+        za = zero_pattern(random_tensor(np.random.default_rng(5), 3, 5, density=0.4))
+        zb = relabeled(za, [4, 2, 0, 3, 1])
+        allowed = np.ones((5, 5), dtype=bool)
+        allowed[3] = False
+        assert brute_force_masked(za, zb) != []
+        assert list(pattern_permutations(za, zb, allowed=allowed)) == []
+        assert refinements == []
+
     @pytest.mark.parametrize("m, n, density", [(3, 5, 0.3), (3, 6, 0.5), (4, 4, 0.4)])
     def test_pinned_masks_match_brute_force(self, m, n, density):
         rng = np.random.default_rng(100 * m + n)
@@ -629,6 +653,99 @@ class TestPinnedRelabelings:
                 assert got == brute_force_masked(za, zb, allowed)
             assert list(pattern_permutations(za, zb, allowed=miss)) == []
             assert list(pattern_permutations(za, zb, allowed=collide)) == []
+
+
+class TestMagnitudesFirst:
+    """The scaling solve fits and checks the magnitudes first; the second
+    pass of the join and the one echelon form of the phase lattice run only
+    at a candidate whose magnitudes fit, and never change the answer."""
+
+    @pytest.fixture
+    def echelons(self, monkeypatch):
+        calls = []
+        echelon = decision._echelon
+
+        def counted(*args):
+            calls.append(1)
+            return echelon(*args)
+
+        monkeypatch.setattr(decision, "_echelon", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "seed, m, n, density, similar",
+        [(0, 3, 5, 1.0, True), (1, 4, 4, 1.0, False), (2, 3, 12, 0.2, True)],
+    )
+    def test_echelons_of_the_golden_pairs(self, echelons, seed, m, n, density, similar):
+        # the inputs of tests/test_cli.py::TestDecideGolden: dense_fwd, dense_not, sparse_fwd
+        a, b = numpy_pair(seed, m, n, density)
+        if not similar:
+            b[(n - 1,) + (0,) * (m - 1)] *= 1.5  # a modulus no scaling reaches
+        assert (decide_similar(Tensor(a), Tensor(b)) is not None) == similar
+        assert len(echelons) == similar
+
+    @staticmethod
+    def eager_solve(a, b, sigma, rtol):
+        """``d`` by the rebuild test alone, with the phase lattice built
+        before the candidate is read and no magnitude check, or ``None``."""
+        s = decision._ScalingSolve(a)
+        g_rows, interp = s.g_rows, s.interp
+        b_vals = b.data[tuple(sigma.zero_based()[s.j].T)]
+        if b_vals.size != np.count_nonzero(b.data) or not b_vals.all():
+            return None
+        ratio = b_vals / s.a_vals
+        turns = np.angle(ratio) / (2.0 * np.pi)
+        base = np.zeros(s.n)
+        base[s.p] = interp @ turns[g_rows]
+        wraps = np.rint(s._apply(base) - turns)
+        x = s._fit(np.log(np.abs(ratio))) + 2j * np.pi * s._fit(turns + wraps)
+        if np.all(np.abs(s.a_vals * np.exp(s._apply(x)) - b_vals) <= rtol * np.abs(b_vals)):
+            return np.exp(x)
+        return None
+
+    def assert_same_as_eager(self, a, b, sigma):
+        """The solve's answer at each tolerance, checked against the eager one."""
+        answers = []
+        for rtol in (0.0, 1e-14, 1e-12, 1e-8, 1e-4):
+            got = decision._ScalingSolve(a).solve(b, sigma, rtol)
+            want = self.eager_solve(a, b, sigma, rtol)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.values.tobytes() == want.tobytes()
+            answers.append(got is not None)
+        return answers
+
+    @pytest.mark.parametrize("m, n, density", [(3, 6, 0.5), (4, 4, 0.5), (5, 3, 1.0)])
+    def test_witness_iff_the_eager_rebuild_accepts(self, m, n, density):
+        # moduli off by 1e-13 .. 50%, phases off by 1e-9 and 0.3 rad, at every tolerance
+        factors = (1, 1 + 1e-13, 1 + 1e-9, 1 + 1e-6, 1.5, np.exp(1e-9j), np.exp(0.3j))
+        answers = []
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            a = random_tensor(rng, m, n, density=density)
+            w = random_structured_witness(rng, m, n)
+            b = structured_transform(a, w)
+            last = tuple(np.argwhere(b.data != 0)[-1])
+            for factor in factors:
+                answers += self.assert_same_as_eager(a, perturbed(b, last, factor), w.sigma)
+        assert any(answers) and not all(answers)
+
+    def test_unit_modulus_scaling_and_rtol_zero(self):
+        rng = np.random.default_rng(9)
+        a = random_tensor(rng, 3, 6, density=0.5)
+        d = DiagonalScaling(np.exp(2j * np.pi * rng.uniform(size=6)))  # log|d| = 0
+        sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(6)))
+        b = structured_transform(a, StructuredWitness(sigma, d, 3))
+        assert self.assert_same_as_eager(a, b, sigma)[-2:] == [True, True]
+        # the identity is the only relabeling of this pattern; numpy's complex
+        # a / a is 1 up to 6e-17j, and the real part of a is rebuilt exactly
+        one = Permutation.identity(6)
+        assert list(pattern_permutations(a, a)) == [one]
+        for t in (a, Tensor(a.data.real)):
+            w, want = decide_similar(t, t, rtol=0), self.eager_solve(t, t, one, 0.0)
+            assert (w is None) == (want is None)
+            if t is not a:
+                assert w.sigma == one and np.array_equal(w.d.values, np.ones(6))
 
 
 class TestDecideSimilar:
