@@ -15,7 +15,7 @@ tensor payloads; structured witness files are
 
 Every document and file is the text of ``json.dumps(doc, indent=2,
 allow_nan=False)`` and a newline, so NaN and the infinities raise ``ValueError``
-instead of being written.  Large nests of numbers take the C encoder.
+instead of being written.  Large nests of numbers take the C encoder and one join.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ from .errors import EntryLimitError, FormatError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness, Witness
 from .spectral import CharPoly
 
-#: the C encoder, with an item separator that no number's text contains
-_COMPACT = json.JSONEncoder(allow_nan=False, separators=("|", ":"))
+#: the C encoder, with an item separator no number's text holds; it writes NaN, and skips
+#: the check for cycles, which a nest of numbers and pairs cannot hold
+_COMPACT = json.JSONEncoder(separators=("|", ":"), check_circular=False)
 _PRETTY = json.JSONEncoder(allow_nan=False, indent=2)
 #: scalar types encoded in bulk; other int and float subclasses go one by one
 _NUMBERS = {int, float, np.float64}
@@ -47,8 +48,9 @@ def _dumps(doc) -> str:
 
 
 def _split(obj, nl: str) -> str | None:
-    """The text of ``obj`` with ``nl`` for each newline, when it holds a large
-    nest of numbers to pass through the C encoder; else ``None``."""
+    """The text of ``obj`` with ``nl`` for each newline, when it holds a large regular nest
+    of numbers, some of which may be ``[re, im]`` pairs; else ``None``.  Each number becomes
+    text once, and one join lays the texts out with the gaps that the nest's shape picks."""
     if isinstance(obj, dict) and all(type(k) is str for k in obj):
         inner = nl + "  "
         texts = [_split(v, inner) for v in obj.values()]
@@ -61,19 +63,33 @@ def _split(obj, nl: str) -> str | None:
         shape, x = shape + [len(x)], x[0]
     if math.prod(shape) < 32 or type(x) not in _NUMBERS:  # small: not worth a split
         return None
-    leaves, depth = _flatten(obj, shape)
-    if depth < len(shape) or not set(map(type, leaves)) <= _NUMBERS:
+    leaves, depth = _flatten(obj, shape)  # a leaf is a number, or one level deeper a pair
+    kinds = set(map(type, leaves))
+    is_pair = list(map(isinstance, leaves, repeat(list))) if list in kinds else []
+    pairs = list(compress(leaves, is_pair))
+    kinds = kinds - {list} | set(map(type, chain.from_iterable(pairs)))
+    if depth < len(shape) - (shape[-1] == 2) or not kinds <= _NUMBERS or set(map(len, pairs)) - {2}:
         return None
-    # neighbouring leaves whose rows part k levels up are separated by k closing brackets,
-    # "|" and k opening ones; longer runs are indented first, so shorter ones cannot match
-    pad = [nl + "  " * level for level in range(depth + 1)]
-    opens = ["[" + p for p in pad[1:]]  # of levels 1, ..., depth
-    closes = [p + "]" for p in reversed(pad[:-1])]  # of levels depth, ..., 1
-    body = _COMPACT.encode(obj)[depth:-depth]
-    for k in range(depth - 1, -1, -1):
-        boundary = "".join(closes[:k]) + "," + pad[depth - k] + "".join(opens[depth - k:])
-        body = body.replace("]" * k + "|" + "[" * k, boundary)
-    return "".join(opens) + body + "".join(closes)
+    pad = [nl + "  " * level for level in range(depth + 2)]
+    opens = ["[" + p for p in pad[1:depth + 1]]  # of levels 1, ..., depth
+    closes = [p + "]" for p in reversed(pad[:depth])]  # of levels depth, ..., 1
+    gaps = ["".join(closes[:k]) + "," + pad[depth - k] + "".join(opens[depth - k:]) for k in range(depth)]
+    seps = []  # the gaps between leaves: k levels up, each of n rows is parted by gaps[k]
+    for k, n in enumerate(reversed(shape[:depth])):
+        seps = ((seps + [gaps[k]]) * n)[:-1]
+    if not pairs and len(kinds) == 1 and kinds <= {int, float}:  # the repr json writes for them
+        texts = list(map(kinds.pop().__repr__, leaves))
+    else:  # the compact text has "|" between numbers and brackets only around pairs
+        texts = _COMPACT.encode(leaves)[1:-1].replace("[", "[" + pad[-1])
+        texts = texts.replace("]", pad[depth] + "]").split("|")
+        seps = np.insert(np.array(seps, dtype=object), np.flatnonzero(is_pair), "," + pad[-1]).tolist()
+    out = [""] * (2 * len(texts) - 1)
+    out[::2], out[1::2] = texts, seps
+    text = "".join(opens) + "".join(out) + "".join(closes)
+    if "n" not in text and "N" not in text:
+        return text
+    # NaN or an infinity: json.dumps raises ValueError, with _PRETTY's message among pairs
+    return None if pairs else json.JSONEncoder(allow_nan=False).encode(leaves)
 
 
 def _flatten(nest, shape) -> tuple[list, int]:
@@ -91,18 +107,21 @@ def _is_int(value) -> bool:  # JSON true and false decode to bools, which are in
 
 
 def _bulk(scalars: list) -> np.ndarray | None:
-    """Numbers and ``[re, im]`` pairs, decoded with the scalar types checked in
-    bulk, or ``None`` when one of them is not finite or not a scalar."""
+    """Numbers and ``[re, im]`` pairs, decoded with the scalar types checked and the pairs'
+    numbers converted in bulk, or ``None`` when one of them is not finite or not a scalar."""
     is_pair = list(map(isinstance, scalars, repeat(list)))
     pairs = list(compress(scalars, is_pair))
-    kinds = set(map(type, scalars)) - {list} | set(map(type, chain.from_iterable(pairs)))
+    flat = list(chain.from_iterable(pairs))
+    kinds = set(map(type, scalars)) - {list} | set(map(type, flat))
     numbers = bool not in kinds and all(issubclass(k, (int, float)) for k in kinds)
     if set(map(len, pairs)) <= {2} and numbers:
-        values = np.zeros(len(scalars), dtype=np.complex128)
-        mask = np.array(is_pair, dtype=bool)
         with suppress(OverflowError):  # an integer beyond the float range
-            values.real[~mask] = list(compress(scalars, map(not_, is_pair)))
-            values[mask] = np.array(pairs, dtype=float).reshape(-1, 2).view(np.complex128).ravel()
+            if pairs:
+                values, mask = np.zeros(len(scalars), dtype=np.complex128), np.array(is_pair, dtype=bool)
+                values.real[~mask] = list(compress(scalars, map(not_, is_pair)))
+                values[mask] = np.array(flat, dtype=float).view(np.complex128)
+            else:  # bare numbers alone
+                values = np.array(scalars, dtype=float).astype(np.complex128)
             if np.isfinite(values).all():
                 return values
     return None
@@ -160,20 +179,29 @@ def tensor_from_dict(obj) -> Tensor:
         entries = obj.get("entries")
         if not isinstance(entries, list):
             raise FormatError("sparse entries must be a list")
-        seen = set()
-        for entry in entries:
-            if not isinstance(entry, dict) or "idx" not in entry or "val" not in entry:
-                raise FormatError("sparse entry must be {'idx': [...], 'val': ...}")
-            idx = entry["idx"]
-            listed = isinstance(idx, list) and len(idx) == order
-            if not listed or not all(_is_int(c) and 1 <= c <= dim for c in idx):
-                raise FormatError(f"sparse index {idx!r} invalid for order {order}, dim {dim}")
-            key = tuple(idx)
-            if key in seen:
-                raise FormatError(f"duplicate sparse index {idx}")
-            seen.add(key)
+        pos = None  # the 0-based indices, a row per entry, when the checks pass in bulk
+        if all(map(isinstance, entries, repeat(dict))) and all(map({"idx", "val"}.issubset, entries)):
+            coords, depth = _flatten([e["idx"] for e in entries], (len(entries), order))
+            with suppress(OverflowError, ValueError):  # a coordinate past the integer or index range
+                if depth == 2 and set(map(type, coords)) <= {int}:
+                    rows = np.array(coords, dtype=np.intp).reshape(-1, order) - 1
+                    if len(np.unique(np.ravel_multi_index(rows.T, (dim,) * order))) == len(rows):
+                        pos = rows
+        if pos is None:  # name the first bad entry; no entries, or int or dict subclasses, pass
+            seen = set()
+            for entry in entries:
+                if not isinstance(entry, dict) or "idx" not in entry or "val" not in entry:
+                    raise FormatError("sparse entry must be {'idx': [...], 'val': ...}")
+                idx = entry["idx"]
+                listed = isinstance(idx, list) and len(idx) == order
+                if not listed or not all(_is_int(c) and 1 <= c <= dim for c in idx):
+                    raise FormatError(f"sparse index {idx!r} invalid for order {order}, dim {dim}")
+                key = tuple(idx)
+                if key in seen:
+                    raise FormatError(f"duplicate sparse index {idx}")
+                seen.add(key)
+            pos = np.array([e["idx"] for e in entries], dtype=np.intp).reshape(-1, order) - 1
         data = np.zeros((dim,) * order, dtype=np.complex128)
-        pos = np.array([e["idx"] for e in entries], dtype=np.intp).reshape(-1, order) - 1
         data[tuple(pos.T)] = _scalars([e["val"] for e in entries], "sparse value")
         return Tensor(data)
     raise FormatError(f"unknown tensor format {fmt!r}")

@@ -20,6 +20,7 @@ from tensim import (
 )
 from tensim.generate import random_tensor
 from tensim.io import (
+    _PRETTY,
     _dumps,
     charpoly_from_dict,
     charpoly_to_dict,
@@ -357,8 +358,54 @@ class TestEncoder:
         for order, dim, density in [(3, 4, 1.0), (4, 3, 0.5), (2, 8, 0.0), (5, 2, 0.7)]:
             t = random_tensor(rng, order, dim, density=density)
             docs += [tensor_to_dict(t), tensor_to_dict(t, format="sparse")]
+        # exact zeros are bare reals among the pairs of a complex tensor; the real part of a
+        # tensor of dim 2 ends in rows of two numbers, which look like pairs
+        for order, dim in [(1, 40), (2, 7), (3, 4), (4, 3), (5, 2)]:
+            for zeros in (0.0, 0.05, 0.5, 0.95, 1.0):
+                a = random_tensor(rng, order, dim).data.ravel().copy()
+                a[rng.choice(a.size, round(zeros * a.size), replace=False)] = 0
+                a = a.reshape((dim,) * order)
+                docs += [tensor_to_dict(Tensor(a)), tensor_to_dict(Tensor(a.real))]
+        # leaves of each type the encoder takes in bulk, bare and in pairs
+        numbers = [3, np.float64(2.5), -0.0, 1e22, 1e-300, -7, np.float64(-0.0), 0.1]
+        docs.append({"entries": [[numbers[(i + j) % 8] for j in range(2)] for i in range(40)]})
+        docs.append({"entries": [numbers[i % 8] if i % 3 else numbers[i % 7:][:2] for i in range(40)]})
+        docs.append({"entries": [[numbers[i % 5:][:2], numbers[i % 8]] for i in range(20)]})
         for doc in docs:
             assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "nest, message",
+        [
+            # bare reals among pairs: the pure-Python encoder's message, which names the value
+            ([1.0, [2.0, -math.inf]] * 20, "Out of range float values are not JSON compliant: -inf"),
+            # a regular nest: the C encoder's message
+            ([[1.0, 2.0]] * 20 + [[math.nan, 0.0]], "Out of range float values are not JSON compliant"),
+        ],
+    )
+    def test_non_finite_message(self, nest, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _dumps({"entries": nest})
+
+    @pytest.mark.parametrize("first", ["pair", "real"])
+    def test_mixed_nest_is_not_encoded_one_by_one(self, monkeypatch, first):
+        """A complex tensor with exact-real entries is a nest of bare reals among
+        [re, im] pairs; it takes the bulk path, not the pure-Python encoder."""
+        calls = []
+
+        class Spy:
+            def encode(self, obj):
+                calls.append(obj)
+                return _PRETTY.encode(obj)
+
+        a = np.exp(1j * np.arange(1.0, 65.0)).reshape(4, 4, 4)
+        a[::2, 1] = a[::2, 1].real
+        a[1, :, 3] = 0
+        a[0, 0, 0] = 2.0 if first == "real" else 2.0 + 1j
+        doc = tensor_to_dict(Tensor(a))
+        monkeypatch.setattr("tensim.io._PRETTY", Spy())
+        assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert not [obj for obj in calls if isinstance(obj, (list, dict))]
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +484,52 @@ class TestSparseDecoder:
             value = complex(*val) if isinstance(val, list) else complex(val)
             want[tuple(i - 1 for i in cell)] = value
         assert tensor_from_dict(doc).data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({"idx": [1, 1, 1], "val": 1}, "sparse entries must be a list"),
+            ([[1, 1, 1]], "sparse entry must be {'idx': [...], 'val': ...}"),
+            ([{"idx": [1, 1, 1]}], "sparse entry must be {'idx': [...], 'val': ...}"),
+            ([{"idx": "1,1,1", "val": 1}], "sparse index '1,1,1' invalid for order 3, dim 4"),
+            ([{"idx": [1, 1], "val": 1}], "sparse index [1, 1] invalid for order 3, dim 4"),
+            ([{"idx": [1, True, 1], "val": 1}], "sparse index [1, True, 1] invalid for order 3, dim 4"),
+            ([{"idx": [1, 1.0, 1], "val": 1}], "sparse index [1, 1.0, 1] invalid for order 3, dim 4"),
+            ([{"idx": [0, 1, 1], "val": 1}], "sparse index [0, 1, 1] invalid for order 3, dim 4"),
+            ([{"idx": [1, 1, 5], "val": 1}], "sparse index [1, 1, 5] invalid for order 3, dim 4"),
+            ([{"idx": [1, 10**400, 1], "val": 1}],
+             f"sparse index [1, {10**400}, 1] invalid for order 3, dim 4"),
+            ([{"idx": [1, 2, 3], "val": 1}, {"idx": [1, 2, 3], "val": 2}],
+             "duplicate sparse index [1, 2, 3]"),
+            # the first bad entry is the one named, and every index is checked before any value
+            ([{"idx": [1, 1, 1], "val": 1}, {"idx": [0, 1, 1], "val": 1}, {"idx": [5, 1, 1], "val": 1}],
+             "sparse index [0, 1, 1] invalid for order 3, dim 4"),
+            ([{"idx": [1, 1, 1], "val": "x"}, {"idx": [2, 1, 1], "val": 1}, {"idx": [9, 1, 1], "val": 1}],
+             "sparse index [9, 1, 1] invalid for order 3, dim 4"),
+            ([{"idx": [1, 1, 1], "val": 1}, {"idx": [1, 1, 1], "val": 1}, {"idx": [0, 1, 1], "val": 1}],
+             "duplicate sparse index [1, 1, 1]"),
+            ([{"idx": [4, 1, 1], "val": 1}, {"idx": [1, 1, 0], "val": 1}, 7],
+             "sparse index [1, 1, 0] invalid for order 3, dim 4"),
+        ],
+    )
+    def test_messages(self, entries, message):
+        doc = {"order": 3, "dim": 4, "format": "sparse", "entries": entries}
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            tensor_from_dict(doc)
+
+    def test_entries_that_only_the_entry_by_entry_checks_accept(self):
+        """int and dict subclasses and an empty list pass the checks entry by entry
+        but not the bulk ones; they read as plain entries do."""
+
+        class Entry(dict):
+            pass
+
+        plain = [{"idx": [1, 2], "val": 1.5}, {"idx": [2, 1], "val": [0.0, 2.0]}]
+        odd = [Entry(idx=[Int(1), 2], val=1.5), {"idx": [2, Int(1)], "val": [0.0, 2.0]}]
+        docs = [{"order": 2, "dim": 2, "format": "sparse", "entries": e} for e in (plain, odd, [])]
+        read = [tensor_from_dict(doc).data for doc in docs]
+        assert read[0].tobytes() == read[1].tobytes()
+        assert not read[2].any()
 
     def test_message_names_the_bad_value(self):
         entries = [{"idx": [1, 1], "val": 1.0}, {"idx": [2, 1], "val": [1.0, "2"]}]
