@@ -29,10 +29,16 @@ value (a diagonal position has net exponent zero, so ``b[v..v]`` can only
 come from an ``a[w..w]`` equal to it within the acceptance tolerance, exact
 for tolerances well above ``1e-13``) and, unless the values pin every label,
 by a joint colour refinement of the two patterns (the canonical hash's).
-One candidate per label is checked with one gather, else a backtracking
-search checks each node against the nonzeros its newest label completes.
-Dense tensors with distinct diagonals so cost one gather, one build, one
-solve, no refinement; repeated diagonal values still cost up to ``n!``.
+One candidate per label is checked with one gather.  Where some label is left
+more than one, the search individualizes one label of ``B`` and each of its
+candidates in turn and refines again (individualization-refinement, as the
+canonical hash searches).  Dense tensors with distinct diagonals so cost one
+gather, one build, one solve, no refinement, and value-free disjoint copies
+of one block a few refinements (7 for 7 copies of one nonzero at ``n = 21``).
+Two classes still cost up to ``n!``: dense patterns with repeated diagonal
+values, where every relabeling matches the pattern, and supports whose many
+relabelings all reach the solve, such as copies of one block with generic
+values.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -125,15 +131,15 @@ def pattern_permutations(
     checked with one gather: it must be injective and map every nonzero of
     ``b`` onto a nonzero of ``a``; when ``allowed`` alone pins every label or
     leaves one none, nothing is refined first, as refinement only drops
-    candidates no relabeling uses.  Otherwise the search backtracks over partial
-    assignments in lexicographic order of the image tuple, and each node of
-    the search is checked incrementally.  Assigning ``pi(v) = w`` completes
-    the nonzeros of ``b`` whose largest label is ``v``, and each must map
-    onto a nonzero of ``a``; it completes the nonzeros of ``a`` that contain
-    ``w`` and whose other labels are already images, and there must be as
-    many of those.  The parent node balanced the counts of all earlier
-    nonzeros, so the whole assigned prefix then maps onto exactly the
-    nonzeros of ``a`` among its images.
+    candidates no relabeling uses.  Otherwise the first label ``v`` of ``b``
+    with more than one candidate is individualized together with each
+    candidate ``w`` in ascending order: the two get a colour of their own,
+    the joint colouring is refined again, and the search goes on from the
+    result, down to colourings that leave one candidate per label.  Every
+    relabeling that maps ``v`` to ``w`` keeps the colours of each label and
+    its image equal through the refinement, so it is found below that child
+    and no other, and as the labels before ``v`` have one candidate each, the
+    relabelings come in lexicographic order of the image tuple.
     """
     if a.shape != b.shape:
         return
@@ -144,10 +150,9 @@ def pattern_permutations(
     allowed = np.ones((n, n), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
     if allowed.shape != (n, n):
         raise ShapeError(f"allowed mask must have shape ({n}, {n})")
-    ok, counts = allowed, allowed.sum(axis=1)
+    col, counts = np.zeros(2 * n, dtype=np.intp), allowed.sum(axis=1)  # one colour: allowed decides
     if counts.all() and counts.max() > 1:  # a pinned map needs no refinement: the gather decides it
-        ja = np.argwhere(nz_a)
-        j = np.vstack([ja, jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
+        j = np.vstack([np.argwhere(nz_a), jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
         # per label, the nonzeros it leads and those with it among the trailing indices
         tails = np.sort(j[:, 1:], axis=1)
         first = np.ones(tails.shape, dtype=bool)
@@ -157,53 +162,26 @@ def pattern_permutations(
         col = _refine(np.unique(stats, return_inverse=True)[1], j, n)
         if col is None:
             return
+
+    def search(col: np.ndarray) -> Iterator[Permutation]:
         ok = (col[n:, None] == col[:n]) & allowed
         counts = ok.sum(axis=1)
-    if not counts.all():
-        return
-    if (counts == 1).all():
-        pi = ok.argmax(axis=1)
-        if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
-            yield Permutation(tuple((pi + 1).tolist()))
-        return
-    candidates = [np.flatnonzero(row).tolist() for row in ok]
-
-    tuples_a = list(map(tuple, ja.tolist()))
-    nz_a = set(tuples_a)
-    closing_b: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for t in map(tuple, jb.tolist()):
-        closing_b[max(t)].append(t)
-    touching_a: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-    for t in tuples_a:
-        for c in set(t):
-            touching_a[c].append(t)
-
-    assign = [0] * n  # 0-based image of each 0-based label assigned so far
-    used = [False] * n
-    # bound lookups for map(): half the time of generator expressions here
-    image_of, is_used = assign.__getitem__, used.__getitem__
-
-    def consistent(v: int, w: int) -> bool:
-        closed = closing_b[v]
-        for t in closed:
-            if tuple(map(image_of, t)) not in nz_a:
-                return False
-        return len(closed) == sum(all(map(is_used, t)) for t in touching_a[w])
-
-    def extend(v: int) -> Iterator[Permutation]:
-        if v == n:
-            yield Permutation(tuple(w + 1 for w in assign))
+        if not counts.all():
             return
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            assign[v] = w
-            used[w] = True
-            if consistent(v, w):
-                yield from extend(v + 1)
-            used[w] = False
+        if (counts == 1).all():
+            pi = ok.argmax(axis=1)
+            if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
+                yield Permutation(tuple((pi + 1).tolist()))
+            return
+        v = int(np.argmax(counts > 1))
+        x = col[n + v]
+        for w in np.flatnonzero(ok[v]).tolist():
+            child = col + (col > x) + (col == x)
+            child[[w, n + v]] = x
+            if (child := _refine(child, j, n)) is not None:
+                yield from search(child)
 
-    yield from extend(0)
+    yield from search(col)
 
 
 # ---------------------------------------------------------------------------

@@ -274,10 +274,30 @@ def numpy_pair(seed, m, n, density):
     """``(a, b)`` drawn with numpy alone: ``b[s(j)] = a[j] d_j1^(1-m) d_j2 ... d_jm``."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(1, 2, (n,) * m) * (rng.uniform(size=(n,) * m) < density)
+    return a, _scaled_and_relabeled(rng, a)
+
+
+def cycles_pair(seed, c):
+    """``(a, b)`` at order 3 and dimension ``3 c``: ``a`` holds ``c`` disjoint
+    3-cycles, ``a[3t+k, 3t+(k+1)%3, 3t+(k+1)%3]`` drawn from ``U(1, 2)`` in
+    order of ``(t, k)``, and ``b`` is made from it as :func:`numpy_pair`
+    makes it."""
+    rng = np.random.default_rng(seed)
+    t, k = np.divmod(np.arange(3 * c), 3)
+    head, tail = 3 * t + k, 3 * t + (k + 1) % 3
+    a = np.zeros((3 * c,) * 3)
+    a[head, tail, tail] = rng.uniform(1, 2, 3 * c)
+    return a, _scaled_and_relabeled(rng, a)
+
+
+def _scaled_and_relabeled(rng, a):
+    """``b[s(j)] = a[j] d_j1^(1-m) d_j2 ... d_jm`` for ``d`` and ``s`` drawn
+    from ``rng``."""
+    m, n = a.ndim, a.shape[0]
     d, s = rng.uniform(0.5, 2, n), rng.permutation(n)
     c = a / d.reshape((n,) + (1,) * (m - 1)) ** (m - 1)
     for k in range(1, m):
         c = c * d.reshape((n,) + (1,) * (m - 1 - k))  # d along axis k
     b = np.empty_like(c)
     b[np.ix_(*[s] * m)] = c
-    return a, b
+    return b

@@ -29,7 +29,7 @@ from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
 
-from reference import numpy_pair
+from reference import cycles_pair, numpy_pair
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -281,7 +281,10 @@ class TestDecideCommand:
 class TestDecideGolden:
     """``tensim decide`` stdout, byte for byte.  The dense pairs have distinct
     diagonals, so the diagonal values alone fix the relabeling; the sparse
-    pair's zero diagonals leave the pattern search to fix it."""
+    pair's zero diagonals leave the pattern search to fix it.  The symmetric
+    pair, four disjoint 3-cycles (:func:`cycles_pair`, no density), is one
+    that refinement cannot settle: the search branches, and the 1567th
+    relabeling to reach the solve is the first accepted."""
 
     @pytest.mark.parametrize(
         "name, seed, m, n, density, fmt",
@@ -289,10 +292,11 @@ class TestDecideGolden:
             ("dense_fwd", 0, 3, 5, 1.0, "dense"),
             ("dense_not", 1, 4, 4, 1.0, "dense"),
             ("sparse_fwd", 2, 3, 12, 0.2, "sparse"),
+            ("sparse_sym", 0, 3, 12, None, "sparse"),
         ],
     )
     def test_byte_exact_output(self, tmp_path, name, seed, m, n, density, fmt):
-        a, b = numpy_pair(seed, m, n, density)
+        a, b = cycles_pair(seed, n // 3) if density is None else numpy_pair(seed, m, n, density)
         if name == "dense_not":
             # one scaled entry changes the scaling invariant b[3,0,0,0] * b[0,3,3,3]
             b[(n - 1,) + (0,) * (m - 1)] *= 1.5

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from tensim.generate import (
 
 from reference import (
     brute_force_pattern_key,
+    cycles_pair,
     naive_relabel,
     numpy_pair,
     oracle_similar,
@@ -100,6 +102,27 @@ def tied_pattern(rng, m, n):
             data = np.zeros((n,) * m)
             data[(np.arange(n), *tails.T)] = 1
             return Tensor(data)
+
+
+def symmetric_support(kind, copies):
+    """A value-free order-3 support of ``copies`` disjoint blocks, all alike:
+    the nonzero ``(3t, 3t+1, 3t+2)``, the 3-cycle ``(3t+k, 3t+(k+1)%3,
+    3t+(k+1)%3)``, or the complete 3-uniform hypergraph on ``4t .. 4t+3`` as a
+    symmetric adjacency tensor (every ordering of every 3-subset)."""
+    size = 4 if kind == "k4" else 3
+    n = size * copies
+    data = np.zeros((n,) * 3)
+    for t in range(copies):
+        block = range(size * t, size * t + size)
+        if kind == "nonzero":
+            data[tuple(block)] = 1
+        elif kind == "cycles":
+            for k in range(3):
+                data[3 * t + k, 3 * t + (k + 1) % 3, 3 * t + (k + 1) % 3] = 1
+        else:
+            for p in itertools.permutations(block, 3):
+                data[p] = 1
+    return Tensor(data)
 
 
 def refined(*patterns):
@@ -288,6 +311,25 @@ class TestPatternPermutations:
             Permutation(tuple(int(w) + 1 for w in perm))
         ]
         assert list(pattern_permutations(z, z, allowed=collide)) == []
+
+    @pytest.mark.parametrize("kind, n", [("nonzero", 6), ("cycles", 6), ("k4", 8)])
+    def test_symmetric_supports_match_brute_force(self, kind, n):
+        # refinement cannot tell the blocks apart, so the search branches
+        za = symmetric_support(kind, 2)
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(n)
+        if kind == "cycles":  # one 6-cycle: the stable colouring of two 3-cycles
+            unrelated = np.zeros((n,) * 3)
+            unrelated[np.arange(n), (np.arange(n) + 1) % n, (np.arange(n) + 1) % n] = 1
+            assert refined(za, Tensor(unrelated)) is not None
+        else:
+            unrelated = np.zeros(n**3)
+            unrelated[rng.choice(n**3, nnz(za), replace=False)] = 1
+        for zb in (relabeled(za, perm), Tensor(unrelated.reshape((n,) * 3))):
+            coin = rng.uniform(size=(n, n)) < 0.5
+            for allowed in (None, coin, coin | np.eye(n, dtype=bool)[perm]):  # the last keeps perm
+                got = list(pattern_permutations(za, zb, allowed=allowed))
+                assert got == brute_force_masked(za, zb, allowed)
 
 
 class TestSolveDiagonal:
@@ -653,6 +695,57 @@ class TestPinnedRelabelings:
                 assert got == brute_force_masked(za, zb, allowed)
             assert list(pattern_permutations(za, zb, allowed=miss)) == []
             assert list(pattern_permutations(za, zb, allowed=collide)) == []
+
+
+class TestBranchingSearch:
+    """Supports whose labels colour refinement cannot separate: the search
+    individualizes one label of ``b`` and one of ``a`` at a time and refines
+    again, so copies of one block cost a few refinements, not a search over
+    the blocks' relabelings."""
+
+    @pytest.mark.parametrize("kind, copies", [("nonzero", 7), ("k4", 4)])
+    def test_disjoint_copies_take_bounded_work(self, kind, copies):
+        a = symmetric_support(kind, copies)
+        n = a.dim
+        sigma = Permutation(tuple((np.random.default_rng(0).permutation(n) + 1).tolist()))
+        b = structured_transform(a, StructuredWitness(sigma, DiagonalScaling(np.ones(n)), 3))
+        calls = [0]
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename == decision.__file__:
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            w = decide_similar(a, b)
+        finally:
+            sys.setprofile(None)
+        assert w is not None
+        assert max_abs_diff(structured_transform(a, w), b) == 0
+        assert calls[0] <= 10**4
+
+    def test_cycles_cost_per_solve(self, monkeypatch):
+        # four 3-cycles with generic values: every pattern isomorphism reaches
+        # the solve, and each costs a bounded number of refinements
+        counts = {"solve": 0, "refine": 0}
+        solve, refine = decision._ScalingSolve.solve, decision._refine
+
+        def counted_solve(self, *args):
+            counts["solve"] += 1
+            return solve(self, *args)
+
+        def counted_refine(*args):
+            counts["refine"] += 1
+            return refine(*args)
+
+        monkeypatch.setattr(decision._ScalingSolve, "solve", counted_solve)
+        monkeypatch.setattr(decision, "_refine", counted_refine)
+        a, b = cycles_pair(0, 4)
+        w = decide_similar(Tensor(a), Tensor(b))
+        assert w is not None
+        assert w.sigma.images == (5, 12, 11, 7, 8, 9, 3, 4, 10, 1, 2, 6)
+        assert counts["solve"] == 1567
+        assert counts["refine"] <= 2 * counts["solve"]
 
 
 class TestMagnitudesFirst:
