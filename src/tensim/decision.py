@@ -31,14 +31,14 @@ for tolerances well above ``1e-13``) and, unless the values pin every label,
 by a joint colour refinement of the two patterns (the canonical hash's).
 One candidate per label is checked with one gather.  Where some label is left
 more than one, the search individualizes one label of ``B`` and each of its
-candidates in turn and refines again (individualization-refinement, as the
-canonical hash searches).  Dense tensors with distinct diagonals so cost one
-gather, one build, one solve, no refinement, and value-free disjoint copies
-of one block a few refinements (7 for 7 copies of one nonzero at ``n = 21``).
-Two classes still cost up to ``n!``: dense patterns with repeated diagonal
-values, where every relabeling matches the pattern, and supports whose many
-relabelings all reach the solve, such as copies of one block with generic
-values.
+candidates in turn and refines again (individualization-refinement, with the
+canonical hash's child step and stack walk, not by recursion).  Dense
+tensors with distinct diagonals so cost one gather, one build, one solve, no
+refinement, and value-free disjoint copies of one block a few refinements
+(7 for 7 copies of one nonzero at ``n = 21``).  Two classes still cost up to
+``n!``: dense patterns with repeated diagonal values, where every relabeling
+matches the pattern, and supports whose many relabelings all reach the
+solve, such as copies of one block with generic values.
 
 Inputs are assumed to carry exact zeros; clean floating-point noise first
 (see :func:`tensim.core.clean`).
@@ -66,6 +66,11 @@ DECISION_TOL = 1e-8
 # ---------------------------------------------------------------------------
 # Pattern matching
 # ---------------------------------------------------------------------------
+
+
+def _codes(col: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Row-major codes of the tuples ``j``, each label replaced by its colour."""
+    return np.ravel_multi_index(tuple(col[j].T), (n,) * j.shape[1])
 
 
 def _refine(col: np.ndarray, j: np.ndarray, n: int) -> np.ndarray | None:
@@ -98,8 +103,7 @@ def _refine(col: np.ndarray, j: np.ndarray, n: int) -> np.ndarray | None:
             return None
         if ncol == n:
             return col
-        codes = np.ravel_multi_index(tuple(col[j].T), (n,) * m)
-        occ = (codes[:, None] * m + np.arange(m)).ravel()
+        occ = (_codes(col, j, n)[:, None] * m + np.arange(m)).ravel()
         # big-endian bytes compare as the integers do
         sig = (np.sort(labels * span + occ) % span).astype(">u8").tobytes()
         head = col.astype(">u8")
@@ -110,6 +114,19 @@ def _refine(col: np.ndarray, j: np.ndarray, n: int) -> np.ndarray | None:
         col, ncol = np.array([rank[w] for w in words]), len(rank)
 
 
+def _children(
+    col: np.ndarray, x: int, lists: Iterator[list[int]], j: np.ndarray, n: int
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """``(labels, child)`` for each list drawn from ``lists``, lazily: ``col``
+    with those labels of colour ``x`` kept at ``x`` and the rest split off to
+    ``x + 1``, refined by :func:`_refine`, and skipped when unbalanced."""
+    for labels in lists:
+        child = col + (col > x) + (col == x)
+        child[labels] = x
+        if (child := _refine(child, j, n)) is not None:
+            yield labels, child
+
+
 def pattern_permutations(
     a: Tensor, b: Tensor, *, allowed: np.ndarray | None = None
 ) -> Iterator[Permutation]:
@@ -118,11 +135,10 @@ def pattern_permutations(
     position ``t``.  The patterns are read from the nonzero lists alone.
 
     The labels of ``a`` and ``b`` are coloured jointly by :func:`_refine` on
-    the disjoint union of the two nonzero lists, starting from per-label
-    statistics: the number of nonzeros the label leads, and the number in
-    which it occurs among the trailing indices.  Every relabeling maps each
-    label of ``b`` to a label of ``a`` of the same colour, so there is none
-    when some colour holds unequal numbers of labels of ``a`` and ``b``.
+    the disjoint union of the two nonzero lists, starting from one colour.
+    Every relabeling maps each label of ``b`` to a label of ``a`` of the same
+    colour, so there is none when some colour holds unequal numbers of labels
+    of ``a`` and ``b``.
     ``allowed``, a boolean ``n x n`` mask, further restricts label ``v`` of
     ``b`` (0-based) to the labels ``w`` of ``a`` with ``allowed[v][w]``; the
     result is the unmasked sequence with the excluded permutations dropped.
@@ -153,35 +169,26 @@ def pattern_permutations(
     col, counts = np.zeros(2 * n, dtype=np.intp), allowed.sum(axis=1)  # one colour: allowed decides
     if counts.all() and counts.max() > 1:  # a pinned map needs no refinement: the gather decides it
         j = np.vstack([np.argwhere(nz_a), jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
-        # per label, the nonzeros it leads and those with it among the trailing indices
-        tails = np.sort(j[:, 1:], axis=1)
-        first = np.ones(tails.shape, dtype=bool)
-        first[:, 1:] = tails[:, 1:] != tails[:, :-1]
-        heads = np.bincount(j[:, 0], minlength=2 * n)
-        stats = heads * (len(jb) + 1) + np.bincount(tails[first], minlength=2 * n)
-        col = _refine(np.unique(stats, return_inverse=True)[1], j, n)
-        if col is None:
+        if (col := _refine(col, j, n)) is None:
             return
-
-    def search(col: np.ndarray) -> Iterator[Permutation]:
+    stack = [iter([([], col)])]  # one frame per depth: the colourings left to walk there
+    while stack:
+        if (node := next(stack[-1], None)) is None:
+            stack.pop()
+            continue
+        col = node[1]
         ok = (col[n:, None] == col[:n]) & allowed
         counts = ok.sum(axis=1)
         if not counts.all():
-            return
+            continue
         if (counts == 1).all():
             pi = ok.argmax(axis=1)
             if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
                 yield Permutation(tuple((pi + 1).tolist()))
-            return
+            continue
         v = int(np.argmax(counts > 1))
-        x = col[n + v]
-        for w in np.flatnonzero(ok[v]).tolist():
-            child = col + (col > x) + (col == x)
-            child[[w, n + v]] = x
-            if (child := _refine(child, j, n)) is not None:
-                yield from search(child)
-
-    yield from search(col)
+        pairs = [[w, n + v] for w in np.flatnonzero(ok[v]).tolist()]  # bound now: v moves on
+        stack.append(_children(col, col[n + v], iter(pairs), j, n))
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +332,7 @@ class _ScalingSolve:
         return x
 
     def solve(self, b: Tensor, sigma: Permutation, rtol: float) -> DiagonalScaling | None:
-        b_vals = b.data[tuple(sigma.zero_based()[self.j].T)]
-        if b_vals.size != np.count_nonzero(b.data) or not b_vals.all():
-            return None
+        b_vals = b.data[tuple(sigma.zero_based()[self.j].T)]  # sigma maps Z(a) onto Z(b)
         ratio = b_vals / self.a_vals
         log_mag = self._fit(log_ratio := np.log(np.abs(ratio)))
         if not (np.abs(np.expm1(self._apply(log_mag) - log_ratio)) <= rtol + 1e-12).all():
@@ -360,6 +365,9 @@ def solve_diagonal(
         raise ShapeError("tensors must share order and dimension")
     if sigma.n != a.dim:
         raise ShapeError("permutation size does not match tensor dimension")
+    j = np.argwhere(a.data != 0)
+    if nnz(b) != len(j) or not b.data[tuple(sigma.zero_based()[j].T)].all():
+        return None  # the zero patterns do not correspond under sigma
     return _ScalingSolve(a).solve(b, sigma, rtol)
 
 
@@ -490,12 +498,7 @@ def canonical_pattern_hash(a: Tensor) -> str:
     m, n = a.order, a.dim
     j = np.argwhere(a.data != 0)
 
-    def relabeled(col: np.ndarray) -> np.ndarray:
-        """Row-major codes of the nonzero tuples with each label replaced by
-        its colour."""
-        return np.ravel_multi_index(tuple(col[j].T), (n,) * m)
-
-    own = np.sort(relabeled(np.arange(n)))
+    own = np.sort(_codes(np.arange(n), j, n))
     first = best = None  # (certificate, labels in colour order, path)
     automorphisms: list[np.ndarray] = []
     twins = list(range(n))  # union-find of labels whose swap is an automorphism
@@ -515,9 +518,9 @@ def canonical_pattern_hash(a: Tensor) -> str:
                     root[find(root, v)] = find(root, w)
         return [find(root, v) for v in range(n)]
 
-    def branches(col: np.ndarray, x: int, path: list[int]) -> Iterator[int]:
-        """The labels of cell ``x`` to individualize below ``path``: one per
-        orbit of those tried so far."""
+    def branches(col: np.ndarray, x: int, path: list[int]) -> Iterator[list[int]]:
+        """The labels of cell ``x`` to individualize below ``path``, each as a
+        list of one: one per orbit of those tried so far."""
         tried: list[int] = []
         roots, seen = None, -1
         for v in np.flatnonzero(col == x).tolist():
@@ -530,16 +533,16 @@ def canonical_pattern_hash(a: Tensor) -> str:
                 # is an automorphism, v's subtree is the image of u's
                 u, swap = tried[0], np.arange(n)
                 swap[[u, v]] = v, u
-                if np.array_equal(np.sort(relabeled(swap)), own):
+                if np.array_equal(np.sort(_codes(swap, j, n)), own):
                     twins[find(twins, v)] = find(twins, u)
                     continue
             tried.append(v)
-            yield v
+            yield [v]
 
     def leaf(col: np.ndarray, path: list[int]) -> int | None:
         """Record a leaf; after an automorphism, the depth to go back to."""
         nonlocal first, best
-        found = (np.sort(relabeled(col)).astype(">u8").tobytes(), np.argsort(col), path)
+        found = (np.sort(_codes(col, j, n)).astype(">u8").tobytes(), np.argsort(col), path)
         if first is None:
             first = best = found
             return None
@@ -553,29 +556,19 @@ def canonical_pattern_hash(a: Tensor) -> str:
             best = found
         return None
 
-    stack: list[tuple[np.ndarray, int, list[int], Iterator[int]]] = []  # one node per depth
-
-    def visit(col: np.ndarray, path: list[int]) -> None:
-        col = _refine(col, j, n)
-        sizes = np.bincount(col)
-        if sizes.size < n:
-            x = int(np.flatnonzero(sizes > 1)[0])
-            stack.append((col, x, path, branches(col, x, path)))
-            return
-        back = leaf(col, path)
-        if back is not None:
-            del stack[back + 1 :]
-
-    visit(np.zeros(n, dtype=np.intp), [])
+    # one frame per depth: (path, the colourings left to walk there); the root's comes first
+    stack = [([], iter([([], _refine(np.zeros(n, dtype=np.intp), j, n))]))]
     while stack:
-        col, x, path, todo = stack[-1]
-        v = next(todo, None)
-        if v is None:
+        path, todo = stack[-1]
+        if (node := next(todo, None)) is None:
             stack.pop()
             continue
-        child = col + (col > x) + (col == x)
-        child[v] = x
-        visit(child, path + [v])
+        path, col = path + node[0], node[1]
+        if (sizes := np.bincount(col)).size < n:
+            x = int(np.flatnonzero(sizes > 1)[0])
+            stack.append((path, _children(col, x, branches(col, x, path), j, n)))
+        elif (back := leaf(col, path)) is not None:
+            del stack[back + 2 :]  # the node at depth back walks its children in stack[back + 1]
     return hashlib.sha256(np.array([m, n], dtype=">u8").tobytes() + best[0]).hexdigest()
 
 

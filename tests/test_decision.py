@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 import sys
@@ -205,12 +206,13 @@ class TestPatternPermutations:
         assert len(got) == math.factorial(n)
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_random_patterns_match_brute_force(self, n):
-        rng = np.random.default_rng(n)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_random_patterns_match_brute_force(self, m, n):
+        rng = np.random.default_rng(n if m == 3 else (m, n))
         for density in (0.1, 0.3, 0.6):
-            za = zero_pattern(random_tensor(rng, 3, n, density=density))
+            za = zero_pattern(random_tensor(rng, m, n, density=density))
             images = tuple(int(v) + 1 for v in rng.permutation(n))
-            unrelated = zero_pattern(random_tensor(rng, 3, n, density=density))
+            unrelated = zero_pattern(random_tensor(rng, m, n, density=density))
             for zb in (naive_relabel(za, images), unrelated):
                 assert list(pattern_permutations(za, zb)) == brute_force_pattern_perms(za, zb)
 
@@ -723,6 +725,18 @@ class TestBranchingSearch:
         assert w is not None
         assert max_abs_diff(structured_transform(a, w), b) == 0
         assert calls[0] <= 10**4
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # the unit pattern at n = 300 is individualized 299 levels deep, in
+        # both searches: neither may take a Python frame per level
+        e = Tensor(np.eye(300))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            assert next(pattern_permutations(e, e)) == Permutation(tuple(range(1, 301)))
+            assert canonical_pattern_hash(e)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_cycles_cost_per_solve(self, monkeypatch):
         # four 3-cycles with generic values: every pattern isomorphism reaches
