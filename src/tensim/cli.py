@@ -6,7 +6,8 @@ bytes (for ``decide``, the witness alone).  Exit codes:
 
 * 0: success or affirmative answer;
 * 1: well-formed negative answer (not similar, check failed);
-* 2: usage or input error (unreadable file, input over the entry limit);
+* 2: usage or input error (unreadable file, input over the entry limit, a
+  ``--diag`` entry that is zero, not finite, or of magnitude at most 1e-300);
 * 3: numeric failure: a result is not finite, so strict JSON cannot hold it.
 
 After an error standard output stays empty.  Numbers are printed with
@@ -381,9 +382,6 @@ def main(argv=None) -> int:
             return EXIT_NUMERIC
         if saved is not None and args.out:
             Path(args.out).write_text(text if saved is doc else tio._dumps(saved))
-    except WitnessError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE
     except (TensimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

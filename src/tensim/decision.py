@@ -429,24 +429,20 @@ def triangularizable_pattern(a: Tensor) -> Permutation | None:
     """
     if a.order < 3:
         raise OrderError("triangular tensors are defined for order >= 3")
-    n = a.dim
-    preds: list[set[int]] = [set() for _ in range(n)]
-    for head, *tail in np.argwhere(a.data != 0).tolist():
-        for c in tail:
-            if c != head:
-                preds[c].add(head)
+    nonzeros = np.argwhere(a.data != 0)
+    after = np.zeros((a.dim, a.dim), dtype=bool)  # after[c, h]: c must follow h
+    after[nonzeros[:, 1:], nonzeros[:, :1]] = True
+    np.fill_diagonal(after, False)
+    left = np.ones(a.dim, dtype=bool)
     placed: list[int] = []
-    done = [False] * n
-    for _ in range(n):
-        pick = next(
-            (v for v in range(n) if not done[v] and all(done[p] for p in preds[v])),
-            None,
-        )
-        if pick is None:
+    for _ in range(a.dim):
+        # the smallest ready label keeps the placement lexicographically first
+        ready = left & ~(after & left).any(axis=1)
+        if not ready.any():
             return None
-        done[pick] = True
-        placed.append(pick + 1)
-    return Permutation(tuple(placed))
+        placed.append(int(ready.argmax()))
+        left[placed[-1]] = False
+    return Permutation(tuple(v + 1 for v in placed))
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,7 @@ class Permutation:
         return self.images[i - 1]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(sorted(range(1, self.n + 1), key=self)))
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Function composition: ``(self.compose(other))(i) = self(other(i))``.
@@ -249,22 +246,18 @@ def decompose_witness(
         raise OrderError("decomposition requires order >= 3")
     if not check_unit_preserving(w, structural_tol):
         raise WitnessError("witness is not unit preserving")
-    qd = w.q.data
-    n = w.dim
-    images = []
-    d = np.zeros(n, dtype=np.complex128)
-    for i in range(n):
-        cols = np.nonzero(np.abs(qd[i]) > structural_tol)[0]
-        if cols.shape[0] != 1:
-            raise WitnessError(
-                f"row {i + 1} of Q has {cols.shape[0]} entries above {structural_tol}; "
-                "expected exactly one"
-            )
-        images.append(int(cols[0]) + 1)
-        d[i] = qd[i, cols[0]]
-    if len(set(images)) != n:
+    above = np.abs(w.q.data) > structural_tol
+    bad = np.flatnonzero(above.sum(axis=1) != 1)
+    if bad.shape[0]:
+        raise WitnessError(
+            f"row {bad[0] + 1} of Q has {above[bad[0]].sum()} entries above {structural_tol}; "
+            "expected exactly one"
+        )
+    cols = above.argmax(axis=1)
+    if np.unique(cols).shape[0] != w.dim:
         raise WitnessError("columns of Q selected twice; not a generalized permutation")
-    s = StructuredWitness(Permutation(tuple(images)), DiagonalScaling(d), w.m)
+    d = w.q.data[np.arange(w.dim), cols]
+    s = StructuredWitness(Permutation(tuple((cols + 1).tolist())), DiagonalScaling(d), w.m)
     rebuilt = compose_witness(s)
     if max_abs_diff(rebuilt.p, w.p) > compare_tol or max_abs_diff(rebuilt.q, w.q) > compare_tol:
         raise WitnessError("P is inconsistent with the structure read from Q")

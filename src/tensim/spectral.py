@@ -23,7 +23,6 @@ machinery that is out of scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iter_product
 
 import numpy as np
 
@@ -67,12 +66,12 @@ def _binary_form_coeffs(a: Tensor) -> np.ndarray:
 
     Row ``i`` holds coefficients ``c[i, j]`` of ``x_1^(m-1-j) x_2^j``.
     """
-    m = a.order
-    coeffs = np.zeros((2, m), dtype=np.complex128)
-    for tail in _iter_product((0, 1), repeat=m - 1):
-        j = sum(tail)
-        coeffs[0, j] += a.data[(0,) + tail]
-        coeffs[1, j] += a.data[(1,) + tail]
+    weight = np.zeros(1, dtype=np.intp)  # the power of x_2 of each tail, in C order
+    for _ in range(a.order - 1):
+        weight = np.concatenate((weight, weight + 1))
+    coeffs = np.zeros((2, a.order), dtype=np.complex128)
+    # unbuffered, in tail order: the same sums as adding one tail at a time
+    np.add.at(coeffs, (np.arange(2)[:, None], weight), a.data.reshape(2, -1))
     return coeffs
 
 
@@ -183,8 +182,7 @@ def eigenvector_dim2(a: Tensor, lam: complex) -> np.ndarray:
     if np.any(np.abs(f) > 0):
         trimmed = np.trim_zeros(f, trim="f")
         if trimmed.shape[0] > 1:
-            for t in np.roots(trimmed):
-                candidates.append(np.array([t, 1.0], dtype=np.complex128))
+            candidates.extend(np.column_stack((np.roots(trimmed), np.ones(trimmed.shape[0] - 1))))
     candidates.append(np.array([1.0, 0.0], dtype=np.complex128))
 
     def form_value(coeffs: np.ndarray, vec: np.ndarray) -> complex:

@@ -92,6 +92,17 @@ def brute_force_pattern_key(a: Tensor) -> bytes:
     )
 
 
+def binary_form_coeffs(a: Tensor) -> np.ndarray:
+    """The two forms of a dimension-2 tensor, one tail at a time: row ``i``,
+    column ``j`` sums ``a[i, t_2, ..., t_m]`` over the tails, in
+    ``itertools.product`` order, with ``j`` indices equal to 2."""
+    forms = np.zeros((2, a.order), dtype=np.complex128)
+    for tail in itertools.product((0, 1), repeat=a.order - 1):
+        forms[0, sum(tail)] += a.data[(0,) + tail]
+        forms[1, sum(tail)] += a.data[(1,) + tail]
+    return forms
+
+
 def sylvester_resultant_dim2(a: Tensor, lam: complex) -> complex:
     """Resultant of the two binary forms of ``A x^(m-1) - lam x^[m-1]`` at
     dimension 2, as the determinant of their Sylvester matrix.
@@ -102,10 +113,7 @@ def sylvester_resultant_dim2(a: Tensor, lam: complex) -> complex:
     the first form and the ``x_2^p`` coefficient of the second.
     """
     p = a.order - 1
-    forms = [[0j] * (p + 1) for _ in range(2)]
-    for i in range(2):
-        for tail in itertools.product(range(2), repeat=p):
-            forms[i][sum(tail)] += complex(a.data[(i,) + tail])
+    forms = binary_form_coeffs(a)
     forms[0][0] -= lam
     forms[1][p] -= lam
     mat = np.zeros((2 * p, 2 * p), dtype=np.complex128)

@@ -151,6 +151,18 @@ class TestTransformCommand:
         assert code == 2
         assert "finite" in err
 
+    def test_tiny_diag_entry_is_usage_error(self, tmp_path):
+        # parsed, but at most 1e-300 in magnitude: DiagonalScaling rejects it
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        code, out, err = run_cli(["transform", str(tmp_path / "a.json"), "--diag=1e-310,1"])
+        assert (code, out) == (2, "")
+        assert "nonzero" in err
+
+    def test_bad_perm_literal(self, tmp_path):
+        write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
+        code, out, _ = run_cli(["transform", str(tmp_path / "a.json"), "--perm=1,x"])
+        assert (code, out) == (2, "")
+
     def test_zero_diag_entry_is_usage_error(self, tmp_path):
         # a zero scaling once exited 1, the code of a negative answer
         write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
@@ -205,6 +217,23 @@ class TestWitnessCommands:
         )
         assert code == 1
         assert json.loads(out)["decomposed"] is False
+
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_decompose_names_the_row(self, tmp_path, m):
+        s = StructuredWitness(Permutation.identity(2), DiagonalScaling([100, 1]), m)
+        w = compose_witness(s)
+        q = w.q.data.copy()
+        q[0, 1] = 2e-10
+        write_tensor(w.p, tmp_path / "p.json")
+        write_tensor(Tensor(q), tmp_path / "q.json")
+        code, out, _ = run_cli(
+            ["decompose", str(tmp_path / "p.json"), str(tmp_path / "q.json"), "--m", str(m)]
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "decomposed": False,
+            "error": "row 1 of Q has 2 entries above 1e-10; expected exactly one",
+        }
 
     @pytest.mark.parametrize("m, n", [(6, 22), (4, 60)])
     def test_witness_past_the_dense_limit(self, tmp_path, m, n):
@@ -457,7 +486,7 @@ class TestExitCodes:
         code, out, _ = run_cli(["product", a, a])  # 3**17 entries
         assert (code, out) == (2, "")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
     def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, value):
         a = np.random.default_rng(0).normal(size=(3, 3, 3))
         b = a.copy()

@@ -1007,6 +1007,30 @@ class TestTriangularizable:
                 count += 1
         assert count >= 5
 
+    def test_placement_is_lexicographically_first(self):
+        from tensim import is_upper_triangular
+
+        rng = np.random.default_rng(20)
+        found = 0
+        for k in range(60):
+            m = 3 + k % 2
+            n = int(rng.integers(2, 6 - k % 2))
+            mask = rng.uniform(size=(n,) * m) < rng.uniform(0.1, 0.5)
+            a = Tensor(mask)
+            if k % 3:  # triangular by construction, then relabeled
+                idx = np.indices(mask.shape)
+                upper = Tensor(mask & (idx[1:].min(axis=0) >= idx[0]))
+                a = naive_relabel(upper, tuple(int(v) + 1 for v in rng.permutation(n)))
+            first = next(
+                (images for images in itertools.permutations(range(1, n + 1))
+                 if is_upper_triangular(naive_relabel(a, images))),
+                None,
+            )
+            sigma = triangularizable_pattern(a)
+            assert (None if sigma is None else sigma.images) == first
+            found += first is not None
+        assert 20 <= found < 60
+
     @pytest.mark.parametrize("n", [11, 60])
     def test_large_dim_certificates(self, n):
         from tensim import is_upper_triangular

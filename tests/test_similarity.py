@@ -215,6 +215,19 @@ class TestDecomposeWitness:
         with pytest.raises(WitnessError):
             decompose_witness(w)
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_rejects_a_row_with_two_entries(self, m):
+        # d = (100, 1) shrinks P, so an extra 2e-10 in Q passes the unit check
+        s = StructuredWitness(Permutation.identity(2), DiagonalScaling([100, 1]), m)
+        w = compose_witness(s)
+        q = w.q.data.copy()
+        q[0, 1] = 2e-10
+        w = Witness(w.p, Tensor(q), m)
+        assert check_unit_preserving(w)
+        with pytest.raises(WitnessError) as info:
+            decompose_witness(w)
+        assert str(info.value) == "row 1 of Q has 2 entries above 1e-10; expected exactly one"
+
     def test_rejects_inconsistent_p(self):
         s = StructuredWitness(swap2(), DiagonalScaling([2.0, 3.0]), 3)
         w = compose_witness(s)

@@ -25,9 +25,9 @@ from tensim import (
     unit_tensor,
 )
 from tensim.generate import random_structured_witness, random_tensor
-from tensim.spectral import charpoly_distance
+from tensim.spectral import _binary_form_coeffs, charpoly_distance
 
-from reference import sylvester_resultant_dim2
+from reference import binary_form_coeffs, sylvester_resultant_dim2
 
 
 def poly_from_roots(roots):
@@ -157,6 +157,15 @@ class TestSylvesterResultant:
                     lam = rho * cmath.exp(2j * cmath.pi * (k + 0.37) / 5)
                     direct = sylvester_resultant_dim2(a, lam)
                     assert abs(direct - cp(lam)) <= 1e-7 * max(1.0, abs(direct))
+
+
+class TestBinaryForms:
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_bytes_match_the_per_tail_sums(self, m):
+        rng = np.random.default_rng(m)
+        for scale in (np.ones((2,) * m), 10.0 ** rng.integers(-8, 9, size=(2,) * m)):
+            a = Tensor(scale * (rng.normal(size=(2,) * m) + 1j * rng.normal(size=(2,) * m)))
+            assert _binary_form_coeffs(a).tobytes() == binary_form_coeffs(a).tobytes()
 
 
 class TestEigenResidual:
