@@ -253,7 +253,7 @@ def _demo_no_triangular_form() -> tuple[dict, str]:
     certificate = []
     for images in ((1, 2), (2, 1)):
         relabeled = permutation_transform(t, Permutation(images))
-        nonzeros = (np.argwhere(relabeled.data != 0) + 1).tolist()
+        nonzeros = (relabeled.nonzeros + 1).tolist()
         violation = next((pos for pos in nonzeros if min(pos[1:]) < pos[0]), None)
         certificate.append(
             {
@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ds.add_argument("a", help="first tensor file")
     p_ds.add_argument("b", help="second tensor file")
     p_ds.add_argument("--tol-compare", type=_tolerance, default=DECISION_TOL,
-                      help="relative reconstruction tolerance for accepting a witness")
+                      help="relative reconstruction tolerance for accepting a witness; at 0 "
+                      "only an exact rebuild is accepted, which a complex self-pair may miss")
     p_ds.add_argument("-o", "--out", help="write the structured witness here on success")
     p_ds.set_defaults(handler=_cmd_decide)
 

@@ -7,7 +7,11 @@ formats and documentation use 1-based indices; the in-memory numpy array is
 0-based as usual.
 
 Tensors are immutable after construction, so every operation in this package
-is a pure function and safe to call concurrently.
+is a pure function and safe to call concurrently.  The one lazy part is
+``Tensor.nonzeros``, the list of nonzero positions, computed at its first
+read and kept: every pattern reader takes it from there, so a tensor is
+scanned once.  Two threads that fill it at once each store an equal
+read-only array, so the race is harmless.
 """
 
 from __future__ import annotations
@@ -25,6 +29,17 @@ DEFAULT_ENTRY_LIMIT = 10**8
 #: Default magnitude below which ``clean`` zeroes an entry.
 DEFAULT_CLEAN_EPS = 1e-12
 
+_MAX_ORDER = 64  #: numpy's rank limit: no tensor of a higher order exists.
+
+
+def _check_size(order: int, dim: int) -> None:
+    """Refuse ``dim**order`` entries before anything is allocated.  Past the
+    rank limit, ``dim >= 2`` is past the entry limit too (``2**65``)."""
+    if order > _MAX_ORDER and dim == 1:
+        raise OrderError(f"order {order} is past numpy's limit of {_MAX_ORDER}")
+    if order > _MAX_ORDER or dim**order > DEFAULT_ENTRY_LIMIT:
+        raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
+
 
 class Tensor:
     """Dense order-``m``, dimension-``n`` tensor over the complex numbers.
@@ -34,9 +49,9 @@ class Tensor:
     is expected.
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_nonzeros")
 
-    def __init__(self, data, entry_limit: int = DEFAULT_ENTRY_LIMIT):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.complex128, order="C")
         if arr.ndim == 0:
             raise ShapeError("a tensor needs at least one index (order >= 1)")
@@ -45,21 +60,31 @@ class Tensor:
             raise ShapeError("dimension must be at least 1")
         if any(s != n for s in arr.shape):
             raise ShapeError(f"tensor must be hypercubic, got shape {arr.shape}")
-        if arr.size > entry_limit:
+        if arr.size > DEFAULT_ENTRY_LIMIT:
             raise EntryLimitError(
-                f"{arr.size} entries exceed the dense storage limit of {entry_limit}"
+                f"{arr.size} entries exceed the dense storage limit of {DEFAULT_ENTRY_LIMIT}"
             )
         if arr is data or arr.base is not None:
             # the caller's own array or a view of one: own the entries, so
             # that no caller can mutate them afterwards
             arr = arr.copy()
         arr.setflags(write=False)
-        self._data = arr
+        self._data, self._nonzeros = arr, None
 
     @property
     def data(self) -> np.ndarray:
         """Read-only numpy view of the entries, shape ``(dim,) * order``."""
         return self._data
+
+    @property
+    def nonzeros(self) -> np.ndarray:
+        """Read-only ``(nnz, order)`` array of the 0-based indices of the
+        exactly nonzero entries, in row-major order; scanned at first read."""
+        if self._nonzeros is None:
+            j = np.argwhere(self._data != 0)
+            j.setflags(write=False)
+            self._nonzeros = j
+        return self._nonzeros
 
     @property
     def order(self) -> int:
@@ -85,10 +110,9 @@ class Tensor:
 
 
 def _diagonal(order: int, values: np.ndarray) -> Tensor:
-    """``values`` on the positions ``(i, ..., i)``; the entry limit is checked before allocating."""
+    """``values`` on the positions ``(i, ..., i)``; the size is checked before allocating."""
     dim, order = values.shape[0], operator.index(order)
-    if dim**order > DEFAULT_ENTRY_LIMIT:
-        raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
+    _check_size(order, dim)
     data = np.zeros((dim,) * order, dtype=np.complex128)
     data[(np.arange(dim),) * order] = values
     return Tensor(data)
@@ -145,16 +169,14 @@ def is_upper_triangular(a: Tensor) -> bool:
     """True iff every entry with ``min(i_2, ..., i_m) < i_1`` is zero."""
     if a.order < 2:
         raise OrderError("triangularity needs order >= 2")
-    j = np.argwhere(a.data != 0)
-    return not np.any(j[:, 1:].min(axis=1) < j[:, 0])
+    return not np.any(a.nonzeros[:, 1:].min(axis=1) < a.nonzeros[:, 0])
 
 
 def is_lower_triangular(a: Tensor) -> bool:
     """True iff every entry with ``max(i_2, ..., i_m) > i_1`` is zero."""
     if a.order < 2:
         raise OrderError("triangularity needs order >= 2")
-    j = np.argwhere(a.data != 0)
-    return not np.any(j[:, 1:].max(axis=1) > j[:, 0])
+    return not np.any(a.nonzeros[:, 1:].max(axis=1) > a.nonzeros[:, 0])
 
 
 def is_diagonal(a: Tensor) -> bool:

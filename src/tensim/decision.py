@@ -159,8 +159,8 @@ def pattern_permutations(
     """
     if a.shape != b.shape:
         return
-    nz_a, jb = a.data != 0, np.argwhere(b.data != 0)
-    if np.count_nonzero(nz_a) != len(jb):
+    ja, jb = a.nonzeros, b.nonzeros
+    if len(ja) != len(jb):
         return
     n = a.dim
     allowed = np.ones((n, n), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
@@ -168,7 +168,7 @@ def pattern_permutations(
         raise ShapeError(f"allowed mask must have shape ({n}, {n})")
     col, counts = np.zeros(2 * n, dtype=np.intp), allowed.sum(axis=1)  # one colour: allowed decides
     if counts.all() and counts.max() > 1:  # a pinned map needs no refinement: the gather decides it
-        j = np.vstack([np.argwhere(nz_a), jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
+        j = np.vstack([ja, jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
         if (col := _refine(col, j, n)) is None:
             return
     stack = [iter([([], col)])]  # one frame per depth: the colourings left to walk there
@@ -274,10 +274,8 @@ class _ScalingSolve:
 
     def __init__(self, a: Tensor):
         m, n = a.order, a.dim
-        nz = a.data != 0
-        self.n = n
-        self.j = np.argwhere(nz)
-        self.a_vals = a.data[nz]
+        self.n, self.j = n, a.nonzeros
+        self.a_vals = a.data[tuple(self.j.T)]
         self.w = np.array([1 - m] + [1] * (m - 1))
         # a row is fixed by its head and the multiset of its tail labels; its size
         # (tail labels off the head) comes first: small rows keep G near one per pivot
@@ -365,7 +363,7 @@ def solve_diagonal(
         raise ShapeError("tensors must share order and dimension")
     if sigma.n != a.dim:
         raise ShapeError("permutation size does not match tensor dimension")
-    j = np.argwhere(a.data != 0)
+    j = a.nonzeros
     if nnz(b) != len(j) or not b.data[tuple(sigma.zero_based()[j].T)].all():
         return None  # the zero patterns do not correspond under sigma
     return _ScalingSolve(a).solve(b, sigma, rtol)
@@ -393,6 +391,10 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     drop a permutation the rebuild would accept.  The masked permutations
     are skipped, and the solve decides every other one, magnitudes first:
     the phase lattice is built at the first candidate whose magnitudes fit.
+
+    At ``rtol = 0`` only an exact rebuild is accepted: a real self-pair
+    passes, and a complex one in general does not, as numpy's complex
+    ``a / a`` is ``1`` only up to about ``6e-17j``.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")
@@ -429,9 +431,8 @@ def triangularizable_pattern(a: Tensor) -> Permutation | None:
     """
     if a.order < 3:
         raise OrderError("triangular tensors are defined for order >= 3")
-    nonzeros = np.argwhere(a.data != 0)
     after = np.zeros((a.dim, a.dim), dtype=bool)  # after[c, h]: c must follow h
-    after[nonzeros[:, 1:], nonzeros[:, :1]] = True
+    after[a.nonzeros[:, 1:], a.nonzeros[:, :1]] = True
     np.fill_diagonal(after, False)
     left = np.ones(a.dim, dtype=bool)
     placed: list[int] = []
@@ -491,8 +492,7 @@ def canonical_pattern_hash(a: Tensor) -> str:
     automorphism, ``u`` and ``v`` are twins at every node, which keeps the
     empty, dense and unit patterns at one leaf and ``n`` refinements.
     """
-    m, n = a.order, a.dim
-    j = np.argwhere(a.data != 0)
+    m, n, j = a.order, a.dim, a.nonzeros
 
     own = np.sort(_codes(np.arange(n), j, n))
     first = best = None  # (certificate, labels in colour order, path)

@@ -29,8 +29,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_ENTRY_LIMIT, Tensor
-from .errors import EntryLimitError, FormatError
+from .core import Tensor, _check_size
+from .errors import FormatError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness, Witness
 from .spectral import CharPoly
 
@@ -148,7 +148,7 @@ def tensor_to_dict(t: Tensor, format: str = "dense") -> dict:
             nest = [nest[i:i + t.dim] for i in range(0, len(nest), t.dim)]
         return {"order": t.order, "dim": t.dim, "format": "dense", "entries": nest}
     if format == "sparse":
-        pos = np.argwhere(t.data != 0)
+        pos = t.nonzeros
         vals = _encode(t.data[tuple(pos.T)])
         entries = [{"idx": idx, "val": v} for idx, v in zip((pos + 1).tolist(), vals)]
         return {"order": t.order, "dim": t.dim, "format": "sparse", "entries": entries}
@@ -164,10 +164,7 @@ def tensor_from_dict(obj) -> Tensor:
     order, dim = obj["order"], obj["dim"]
     if not _is_int(order) or not _is_int(dim) or order < 1 or dim < 1:
         raise FormatError("order and dim must be positive integers")
-    # any dim > 1 is over the limit once order reaches its bit length; the
-    # min keeps a huge order from building a huge integer
-    if dim ** min(order, DEFAULT_ENTRY_LIMIT.bit_length()) > DEFAULT_ENTRY_LIMIT:
-        raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
+    _check_size(order, dim)
     fmt = obj["format"]
     if fmt == "dense":
         scalars, depth = _flatten(obj.get("entries"), (dim,) * order)

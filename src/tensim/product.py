@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_ENTRY_LIMIT, Tensor
-from .errors import EntryLimitError, OrderError, ShapeError
+from .core import Tensor, _check_size
+from .errors import OrderError, ShapeError
 
 
-def general_product(a: Tensor, b: Tensor, entry_limit: int = DEFAULT_ENTRY_LIMIT) -> Tensor:
+def general_product(a: Tensor, b: Tensor) -> Tensor:
     """Product of an order-``m >= 2`` tensor with an order-``k >= 1`` tensor."""
     if a.order < 2:
         raise OrderError("left operand must have order >= 2")
@@ -34,17 +34,14 @@ def general_product(a: Tensor, b: Tensor, entry_limit: int = DEFAULT_ENTRY_LIMIT
     n = a.dim
     m, k = a.order, b.order
     out_order = (m - 1) * (k - 1) + 1
-    if n**out_order > entry_limit:
-        raise EntryLimitError(
-            f"product would hold {n}**{out_order} entries, over the limit of {entry_limit}"
-        )
+    _check_size(out_order, n)
     # b_flat[j, a] = B[j, a] with a running row-major over the trailing k-1 slots
     b_flat = b.data.reshape(n, -1)
     out = a.data
     for _ in range(m - 1):
         # contract the leading remaining slot of A, appending one alpha block
         out = np.tensordot(out, b_flat, axes=([1], [0]))
-    return Tensor(out.reshape((n,) * out_order), entry_limit=entry_limit)
+    return Tensor(out.reshape((n,) * out_order))
 
 
 def left_matrix_product(p: Tensor, a: Tensor) -> Tensor:

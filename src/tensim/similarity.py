@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_ENTRY_LIMIT, Tensor, max_abs_diff
+from .core import _MAX_ORDER, DEFAULT_ENTRY_LIMIT, Tensor, max_abs_diff
 from .errors import EntryLimitError, OrderError, ShapeError, WitnessError
 from .product import left_matrix_product, right_matrix_product
 
@@ -37,8 +37,6 @@ COMPARE_TOL = 1e-9
 
 #: Diagonal entries smaller than this are treated as zero (not invertible).
 _MIN_DIAGONAL_MAGNITUDE = 1e-300
-
-_MAX_ORDER = 64  #: numpy's rank limit: no tensor of a higher order exists.
 
 
 def _int_pow(values: np.ndarray, exponent: int) -> np.ndarray:
@@ -189,9 +187,8 @@ def _unit_image_residuals(w: Witness) -> tuple[float, float, float]:
     maj = np.max(np.abs(p @ _int_pow(q, m - 1) - np.eye(n)))
     support = q != 0
     counts = support.sum(axis=1)
-    # as in io: 2**e is already over the limit, and a huge m builds no huge integer
-    e = min(m - 1, DEFAULT_ENTRY_LIMIT.bit_length())
-    if n * sum(int(r) ** e - int(r) for r in counts) > DEFAULT_ENTRY_LIMIT:  # C, non-constant tails
+    # the entries of C on the non-constant tails; m <= 64 bounds the powers
+    if n * sum(int(r) ** (m - 1) - int(r) for r in counts) > DEFAULT_ENTRY_LIMIT:
         raise EntryLimitError(f"n = {n} times Q's tails of order {m} exceed {DEFAULT_ENTRY_LIMIT}")
     tail = dev = np.float64(0.0)
     done = np.zeros((0, n), dtype=bool)  # supports already enumerated

@@ -486,6 +486,24 @@ class TestExitCodes:
         code, out, _ = run_cli(["product", a, a])  # 3**17 entries
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("order, fmt", [(70, "sparse"), (65, "dense")])
+    def test_header_past_numpy_order_limit_is_usage_error(self, tmp_path, order, fmt):
+        entries = []
+        if fmt == "dense":  # the one entry of a dim-1 tensor, nested order deep
+            entries = 1.0
+            for _ in range(order):
+                entries = [entries]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps({"order": order, "dim": 1, "format": fmt, "entries": entries}))
+        code, out, _ = run_cli(["invariants", str(path)])
+        assert (code, out) == (2, "")
+
+    def test_product_past_numpy_order_limit_is_usage_error(self, tmp_path):
+        write_tensor(unit_tensor(9, 1), tmp_path / "a.json")
+        a = str(tmp_path / "a.json")
+        code, out, _ = run_cli(["product", a, a])  # order 8 * 8 + 1 = 65
+        assert (code, out) == (2, "")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
     def test_tolerance_must_be_finite_and_non_negative(self, tmp_path, value):
         a = np.random.default_rng(0).normal(size=(3, 3, 3))

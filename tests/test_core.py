@@ -20,6 +20,7 @@ from tensim import (
     unit_tensor,
     zero_pattern,
 )
+from tensim import core
 
 
 def single_entry(order, dim, idx, value):
@@ -60,9 +61,21 @@ class TestTensorConstruction:
         with pytest.raises(ShapeError):
             Tensor(np.complex128(1.0))
 
-    def test_entry_limit(self):
+    def test_entry_limit(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_LIMIT", 99)
         with pytest.raises(EntryLimitError):
-            Tensor(np.zeros((10, 10)), entry_limit=99)
+            Tensor(np.zeros((10, 10)))
+        assert Tensor(np.zeros(99)).dim == 99
+
+    def test_nonzeros_are_one_read_only_row_major_list(self):
+        data = np.zeros((3, 3, 3), dtype=complex)
+        data[2, 0, 1], data[0, 1, 2], data[1, 1, 1] = 1.0, 2j, -0.5
+        t = Tensor(data)
+        assert t.nonzeros is t.nonzeros
+        assert t.nonzeros.tolist() == [[0, 1, 2], [1, 1, 1], [2, 0, 1]]
+        with pytest.raises(ValueError):
+            t.nonzeros[0, 0] = 2
+        assert Tensor(np.zeros((2, 2))).nonzeros.shape == (0, 2)
 
     def test_data_is_read_only(self):
         t = unit_tensor(2, 2)
@@ -231,6 +244,15 @@ class TestDiagonalTensor:
         # 2**64 entries: numpy would refuse the allocation with a ValueError
         with pytest.raises(EntryLimitError, match=r"2\*\*64 entries"):
             diagonal_tensor(64, [1, 2])
+
+    def test_order_past_numpy_limit_checked_before_allocating(self):
+        # a single entry: past numpy's 64 indices, not past the entry limit
+        with pytest.raises(OrderError):
+            unit_tensor(70, 1)
+        with pytest.raises(OrderError):
+            diagonal_tensor(65, [1])
+        with pytest.raises(EntryLimitError):  # 2 or more labels: past the entry limit too
+            unit_tensor(70, 2)
 
     def test_numpy_integer_order_checked_as_an_int(self):
         # 2 ** np.int64(64) wraps to 0, which once passed the entry-limit check

@@ -1236,3 +1236,37 @@ class TestDeferredScalingSolve:
         b = clean(structured_transform(a, random_structured_witness(rng, 3, 5)))
         assert decide_similar(a, b) is not None
         assert builds == [1]
+
+
+class TestOneNonzeroScan:
+    """Every pattern reader takes the nonzero list from ``Tensor.nonzeros``,
+    so a tensor's entries are scanned for it at most once."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        shapes, argwhere = [], np.argwhere
+
+        def counting(x):
+            shapes.append(x.shape)
+            return argwhere(x)
+
+        monkeypatch.setattr(np, "argwhere", counting)
+        return shapes
+
+    @pytest.mark.parametrize("similar", [True, False])
+    def test_decide_scans_each_tensor_once(self, scans, similar):
+        rng = np.random.default_rng(21)
+        a = random_tensor(rng, 3, 6, density=0.4)
+        b = clean(structured_transform(a, random_structured_witness(rng, 3, 6)))
+        if not similar:
+            b = perturbed(b, tuple(b.nonzeros[0]), 1.5)
+            scans.clear()
+        assert (decide_similar(a, b) is not None) == similar
+        assert len(scans) == 2  # a's list serves both the search and the solve
+        assert (decide_similar(a, b) is not None) == similar
+        assert len(scans) == 2
+
+    def test_invariants_scan_once(self, scans):
+        a = random_tensor(np.random.default_rng(22), 3, 5, density=0.3)
+        similarity_invariants(a)
+        assert len(scans) == 1

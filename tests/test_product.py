@@ -15,6 +15,7 @@ from tensim import (
     right_matrix_product,
     unit_tensor,
 )
+from tensim import core
 from tensim.generate import random_tensor
 
 from reference import naive_general_product
@@ -150,8 +151,14 @@ class TestErrors:
         with pytest.raises(OrderError):
             right_matrix_product(unit_tensor(3, 2), unit_tensor(3, 2))
 
-    def test_result_entry_limit(self):
+    def test_result_entry_limit(self, monkeypatch):
         a = unit_tensor(4, 3)
         b = unit_tensor(4, 3)
+        monkeypatch.setattr(core, "DEFAULT_ENTRY_LIMIT", 1000)
         with pytest.raises(EntryLimitError):
-            general_product(a, b, entry_limit=1000)
+            general_product(a, b)
+
+    def test_result_order_past_numpy_limit(self):
+        a = unit_tensor(9, 1)
+        with pytest.raises(OrderError):
+            general_product(a, a)  # order 8 * 8 + 1 = 65
