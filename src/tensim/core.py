@@ -6,12 +6,14 @@ A tensor of order ``m`` and dimension ``n`` is a dense hypercubic array of
 formats and documentation use 1-based indices; the in-memory numpy array is
 0-based as usual.
 
-Tensors are immutable after construction, so every operation in this package
-is a pure function and safe to call concurrently.  The one lazy part is
-``Tensor.nonzeros``, the list of nonzero positions, computed at its first
-read and kept: every pattern reader takes it from there, so a tensor is
-scanned once.  Two threads that fill it at once each store an equal
-read-only array, so the race is harmless.
+Every tensor passes one gate, ``Tensor.__init__``: it applies the size and
+order rule of :func:`_check_size` and keeps a private read-only copy of the
+entries.  So tensors are immutable, and every operation in this package is a
+pure function and safe to call concurrently.  The one lazy part is
+``Tensor.nonzeros``, the list of nonzero positions, computed at its first read
+and kept: every pattern reader takes it from there, so a tensor is scanned
+once.  Two threads that fill it at once each store an equal read-only array,
+so the race is harmless.
 """
 
 from __future__ import annotations
@@ -29,15 +31,18 @@ DEFAULT_ENTRY_LIMIT = 10**8
 #: Default magnitude below which ``clean`` zeroes an entry.
 DEFAULT_CLEAN_EPS = 1e-12
 
-_MAX_ORDER = 64  #: numpy's rank limit: no tensor of a higher order exists.
+_MAX_ORDER = 64  #: numpy's rank limit, the bound of a witness order.
+_MAX_TENSOR_ORDER = 62  #: numpy indexes or ravels at most 63 arrays in one call.
 
 
 def _check_size(order: int, dim: int) -> None:
-    """Refuse ``dim**order`` entries before anything is allocated.  Past the
-    rank limit, ``dim >= 2`` is past the entry limit too (``2**65``)."""
-    if order > _MAX_ORDER and dim == 1:
-        raise OrderError(f"order {order} is past numpy's limit of {_MAX_ORDER}")
-    if order > _MAX_ORDER or dim**order > DEFAULT_ENTRY_LIMIT:
+    """The one size and order rule, applied by ``Tensor`` and, before they
+    allocate, by the constructors and the reader: at most ``DEFAULT_ENTRY_LIMIT``
+    entries and order at most 62, as the scaling solve ravels order + 1 axes.
+    Past order 62, ``dim >= 2`` is past the entry limit too (``2**63``)."""
+    if order > _MAX_TENSOR_ORDER and dim == 1:
+        raise OrderError(f"order {order} is past the limit of {_MAX_TENSOR_ORDER}")
+    if order > _MAX_TENSOR_ORDER or dim**order > DEFAULT_ENTRY_LIMIT:
         raise EntryLimitError(f"{dim}**{order} entries exceed the limit of {DEFAULT_ENTRY_LIMIT}")
 
 
@@ -52,7 +57,7 @@ class Tensor:
     __slots__ = ("_data", "_nonzeros")
 
     def __init__(self, data):
-        arr = np.asarray(data, dtype=np.complex128, order="C")
+        arr = np.asarray(data, dtype=np.complex128)
         if arr.ndim == 0:
             raise ShapeError("a tensor needs at least one index (order >= 1)")
         n = arr.shape[0]
@@ -60,16 +65,9 @@ class Tensor:
             raise ShapeError("dimension must be at least 1")
         if any(s != n for s in arr.shape):
             raise ShapeError(f"tensor must be hypercubic, got shape {arr.shape}")
-        if arr.size > DEFAULT_ENTRY_LIMIT:
-            raise EntryLimitError(
-                f"{arr.size} entries exceed the dense storage limit of {DEFAULT_ENTRY_LIMIT}"
-            )
-        if arr is data or arr.base is not None:
-            # the caller's own array or a view of one: own the entries, so
-            # that no caller can mutate them afterwards
-            arr = arr.copy()
-        arr.setflags(write=False)
-        self._data, self._nonzeros = arr, None
+        _check_size(arr.ndim, n)
+        self._data, self._nonzeros = arr.copy(), None  # no caller can mutate the copy
+        self._data.setflags(write=False)
 
     @property
     def data(self) -> np.ndarray:
@@ -122,7 +120,7 @@ def unit_tensor(order: int, dim: int) -> Tensor:
     """Generalized Kronecker delta: 1 where all indices agree, 0 elsewhere.
 
     For ``order == 2`` this is the identity matrix; for any order it has
-    exactly ``dim`` nonzero entries, out of at most ``DEFAULT_ENTRY_LIMIT``.
+    exactly ``dim`` nonzero entries, out of ``dim**order`` (see :func:`_check_size`).
     """
     if order < 1:
         raise OrderError("unit tensor needs order >= 1")

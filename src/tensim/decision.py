@@ -331,7 +331,11 @@ class _ScalingSolve:
 
     def solve(self, b: Tensor, sigma: Permutation, rtol: float) -> DiagonalScaling | None:
         b_vals = b.data[tuple(sigma.zero_based()[self.j].T)]  # sigma maps Z(a) onto Z(b)
-        ratio = b_vals / self.a_vals
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio = b_vals / self.a_vals
+            bad = ~np.isfinite(ratio)  # numpy's complex quotient overflows at a subnormal
+            if bad.any():  # divisor; times 2**54 (exact) the divisor is normal
+                ratio[bad] = b_vals[bad] * 2.0**54 / (self.a_vals[bad] * 2.0**54)
         log_mag = self._fit(log_ratio := np.log(np.abs(ratio)))
         if not (np.abs(np.expm1(self._apply(log_mag) - log_ratio)) <= rtol + 1e-12).all():
             return None  # some |a| exp(E log|d|) misses |b|: so would the rebuild
@@ -394,7 +398,9 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
 
     At ``rtol = 0`` only an exact rebuild is accepted: a real self-pair
     passes, and a complex one in general does not, as numpy's complex
-    ``a / a`` is ``1`` only up to about ``6e-17j``.
+    ``a / a`` is ``1`` only up to about ``6e-17j``.  Subnormal entries are
+    decided like normal ones: where numpy's quotient ``b / a`` overflows at a
+    subnormal ``a``, the solve divides again with both scaled by ``2**54``.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")

@@ -41,27 +41,16 @@ def random_permutation(rng: np.random.Generator, n: int) -> Permutation:
     return Permutation(tuple(int(v) + 1 for v in rng.permutation(n)))
 
 
-def random_diagonal(
-    rng: np.random.Generator,
-    n: int,
-    magnitude_range: tuple[float, float] = (0.1, 10.0),
-) -> DiagonalScaling:
-    """Diagonal entries with log-uniform magnitudes and uniform phases."""
-    lo, hi = np.log(magnitude_range[0]), np.log(magnitude_range[1])
-    mags = np.exp(rng.uniform(lo, hi, size=n))
+def random_diagonal(rng: np.random.Generator, n: int) -> DiagonalScaling:
+    """Diagonal entries with magnitudes log-uniform in ``(0.1, 10.0)`` and
+    uniform phases."""
+    mags = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=n))
     phases = np.exp(2j * np.pi * rng.uniform(size=n))
     return DiagonalScaling(mags * phases)
 
 
-def random_structured_witness(
-    rng: np.random.Generator,
-    m: int,
-    n: int,
-    magnitude_range: tuple[float, float] = (0.1, 10.0),
-) -> StructuredWitness:
-    return StructuredWitness(
-        random_permutation(rng, n), random_diagonal(rng, n, magnitude_range), m
-    )
+def random_structured_witness(rng: np.random.Generator, m: int, n: int) -> StructuredWitness:
+    return StructuredWitness(random_permutation(rng, n), random_diagonal(rng, n), m)
 
 
 def random_unit_preserving_witness(

@@ -237,11 +237,7 @@ def witness_from_dict(obj) -> Witness:
         raise FormatError("witness payload must carry m, P and Q")
     if not _is_int(obj["m"]):
         raise FormatError("witness order m must be an integer")
-    p = tensor_from_dict(obj["P"])
-    q = tensor_from_dict(obj["Q"])
-    if p.order != 2 or q.order != 2:
-        raise FormatError("witness members must be matrices (order 2)")
-    return Witness(p, q, obj["m"])
+    return Witness(tensor_from_dict(obj["P"]), tensor_from_dict(obj["Q"]), obj["m"])
 
 
 def read_witness(path) -> Witness:

@@ -98,7 +98,9 @@ def char_poly_dim2(a: Tensor) -> CharPoly:
 
     Monic of degree exactly ``2*(m-1)`` (coefficient array of length
     ``2m - 1``).  Order 2 gives the matrix characteristic polynomial
-    ``lambda^2 - tr(A) lambda + det(A)`` in closed form.
+    ``lambda^2 - tr(A) lambda + det(A)`` in closed form.  When the binary
+    forms overflow, the coefficients are not finite, as the entries of
+    :func:`~tensim.product.general_product` past the float range are.
     """
     return _char_poly_and_spectrum(a)[0]
 
@@ -128,14 +130,18 @@ def _cluster_roots(roots: np.ndarray, tol: float) -> np.ndarray:
 def spectrum_dim2(a: Tensor) -> list[complex]:
     """Root multiset of the characteristic polynomial, canonically sorted
     (by real part, then imaginary part): the ``2*(m-1)`` eigenvalues of the
-    Sylvester matrix, with near-coincident ones clustered."""
+    Sylvester matrix, with near-coincident ones clustered; NaN when the
+    binary forms overflow."""
     return _char_poly_and_spectrum(a)[1]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # past the float range: not finite, no warning
 def _char_poly_and_spectrum(a: Tensor) -> tuple[CharPoly, list[complex]]:
     """:func:`char_poly_dim2` and :func:`spectrum_dim2` from one eigenvalue
-    computation of the Sylvester matrix."""
-    roots = np.linalg.eigvals(_sylvester_matrix(a))
+    computation of the Sylvester matrix.  Past the float range no finite
+    polynomial exists: the coefficients and roots are then not finite."""
+    s = _sylvester_matrix(a)
+    roots = np.linalg.eigvals(s) if np.isfinite(s).all() else np.full(len(s), np.nan + 0j)
     if a.order == 2:
         m = a.data
         tr = m[0, 0] + m[1, 1]

@@ -13,7 +13,9 @@ import math
 import numpy as np
 
 from tensim.core import Tensor, majorization_matrix, max_abs_diff, unit_tensor
+from tensim.generate import random_permutation
 from tensim.product import general_product, left_matrix_product
+from tensim.similarity import DiagonalScaling, StructuredWitness
 
 
 def naive_general_product(a: Tensor, b: Tensor) -> Tensor:
@@ -309,3 +311,14 @@ def _scaled_and_relabeled(rng, a):
     b = np.empty_like(c)
     b[np.ix_(*[s] * m)] = c
     return b
+
+
+def witness_in_range(rng, m, n, magnitudes):
+    """The draws of ``tensim.generate.random_structured_witness`` (a
+    permutation, log-uniform moduli, uniform phases), with the moduli
+    log-uniform in ``magnitudes`` instead of ``(0.1, 10.0)``."""
+    sigma = random_permutation(rng, n)
+    lo, hi = np.log(magnitudes[0]), np.log(magnitudes[1])
+    moduli = np.exp(rng.uniform(lo, hi, size=n))
+    phases = np.exp(2j * np.pi * rng.uniform(size=n))
+    return StructuredWitness(sigma, DiagonalScaling(moduli * phases), m)

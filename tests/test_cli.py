@@ -29,7 +29,7 @@ from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
 
-from reference import cycles_pair, numpy_pair
+from reference import cycles_pair, numpy_pair, witness_in_range
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -294,6 +294,14 @@ class TestDecideCommand:
         assert out == ""
         assert "finite" in err
 
+    def test_subnormal_self_pair(self, tmp_path):
+        # numpy's complex 1e-310 / 1e-310 is inf + nan j, which once made this exit 1
+        entries = [{"idx": [1, 1, 2], "val": 1e-310}, {"idx": [2, 1, 1], "val": 2}]
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"order": 3, "dim": 2, "format": "sparse", "entries": entries}))
+        code, out, _ = run_cli(["decide", str(path), str(path)])
+        assert code == 0 and json.loads(out)["witness"]["sigma"] == [1, 2]
+
     def test_witness_file_written(self, tmp_path):
         write_tensor(unit_tensor(3, 2), tmp_path / "a.json")
         out_path = tmp_path / "w.json"
@@ -363,11 +371,19 @@ class TestCharpolyCommand:
         code, _, _ = run_cli(["charpoly", str(tmp_path / "a.json")])
         assert code == 2
 
+    def test_overflowing_forms_are_a_numeric_failure(self, tmp_path):
+        # the first form sums 1e308 + 1e308: no finite polynomial exists
+        entries = [[[1e308, 1e308], [1e308, 1e308]], [[0, 0], [0, 1]]]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"order": 3, "dim": 2, "format": "dense", "entries": entries}))
+        code, out, _ = run_cli(["charpoly", str(path)])
+        assert (code, out) == (3, "")
+
     def test_order8_wide_witness(self, tmp_path):
         # the wide witness range at order 8 spreads the entries over ~49 decades
         rng = np.random.default_rng(3)
         a = random_tensor(rng, 8, 2)
-        b = structured_transform(a, random_structured_witness(rng, 8, 2, (0.01, 100.0)))
+        b = structured_transform(a, witness_in_range(rng, 8, 2, (0.01, 100.0)))
         write_tensor(b, tmp_path / "b.json")
         code, out, _ = run_cli(["charpoly", str(tmp_path / "b.json")])
         assert code == 0
@@ -486,7 +502,7 @@ class TestExitCodes:
         code, out, _ = run_cli(["product", a, a])  # 3**17 entries
         assert (code, out) == (2, "")
 
-    @pytest.mark.parametrize("order, fmt", [(70, "sparse"), (65, "dense")])
+    @pytest.mark.parametrize("order, fmt", [(70, "sparse"), (65, "dense"), (64, "sparse")])
     def test_header_past_numpy_order_limit_is_usage_error(self, tmp_path, order, fmt):
         entries = []
         if fmt == "dense":  # the one entry of a dim-1 tensor, nested order deep
@@ -497,6 +513,20 @@ class TestExitCodes:
         path.write_text(json.dumps({"order": order, "dim": 1, "format": fmt, "entries": entries}))
         code, out, _ = run_cli(["invariants", str(path)])
         assert (code, out) == (2, "")
+
+    def test_order_63_decide_is_usage_error(self, tmp_path):
+        # numpy ravels at most 63 arrays in one call, and the scaling solve ravels order + 1
+        path = tmp_path / "deep.json"
+        entries = [{"idx": [1] * 63, "val": 1.0}]
+        path.write_text(json.dumps({"order": 63, "dim": 1, "format": "sparse", "entries": entries}))
+        code, out, _ = run_cli(["decide", str(path), str(path)])
+        assert (code, out) == (2, "")
+
+    def test_product_of_order_64_is_usage_error(self, tmp_path):
+        write_tensor(unit_tensor(8, 1), tmp_path / "a.json")
+        write_tensor(unit_tensor(10, 1), tmp_path / "b.json")
+        code, out, _ = run_cli(["product", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert (code, out) == (2, "")  # order 7 * 9 + 1 = 64
 
     def test_product_past_numpy_order_limit_is_usage_error(self, tmp_path):
         write_tensor(unit_tensor(9, 1), tmp_path / "a.json")

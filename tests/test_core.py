@@ -1,15 +1,21 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from tensim import (
+    DiagonalScaling,
     EntryLimitError,
     OrderError,
+    Permutation,
     ShapeError,
+    StructuredWitness,
     Tensor,
     clean,
+    decide_similar,
     diagonal_tensor,
+    diagonal_transform,
     is_diagonal,
     is_diagonal_matrix,
     is_generalized_permutation,
@@ -17,10 +23,14 @@ from tensim import (
     is_upper_triangular,
     majorization_matrix,
     nnz,
+    permutation_transform,
+    similarity_invariants,
+    structured_transform,
     unit_tensor,
     zero_pattern,
 )
 from tensim import core
+from tensim.io import tensor_from_dict, tensor_to_dict
 
 
 def single_entry(order, dim, idx, value):
@@ -261,3 +271,34 @@ class TestDiagonalTensor:
         with pytest.raises(EntryLimitError, match=r"2\*\*64 entries"):
             diagonal_tensor(np.int64(64), [1, 2])
         assert unit_tensor(np.int64(3), 2) == unit_tensor(3, 2)
+
+
+class TestEveryOrderTheGateAdmits:
+    """A tensor of each order either fails the gate or supports every reader
+    of its entries by m-tuple: dim 1 is the only dimension that reaches
+    order 62, since 2**27 entries are past the entry limit."""
+
+    @pytest.mark.parametrize("m", range(1, 71))
+    def test_dim1_order(self, m):
+        if m >= 63:
+            with pytest.raises(OrderError):
+                unit_tensor(m, 1)
+            if m <= 64:  # past numpy's 64 axes no array exists to pass
+                with pytest.raises(OrderError):
+                    Tensor(np.ones((1,) * m))
+            return
+        t = Tensor(np.ones((1,) * m))
+        assert unit_tensor(m, 1) == t
+        report = similarity_invariants(t)
+        assert (report.order, report.nnz, report.is_diagonal) == (m, 1, m >= 2)
+        sigma, d = Permutation.identity(1), DiagonalScaling([2.0])
+        assert permutation_transform(t, sigma) == t
+        if m >= 2:
+            assert diagonal_transform(t, d) == t and is_upper_triangular(t)
+        if m >= 3:
+            s = decide_similar(t, t)
+            assert s is not None and s.sigma == sigma
+            assert structured_transform(t, StructuredWitness(sigma, d, m)) == t
+        for fmt in ("dense", "sparse"):
+            doc = json.loads(json.dumps(tensor_to_dict(t, fmt)))
+            assert tensor_from_dict(doc) == t

@@ -917,6 +917,16 @@ class TestDecideSimilar:
         assert decide_similar(a, c) is None
         assert built == []
 
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324, 1e-310j, 2e-309 - 3e-320j])
+    def test_subnormal_entries(self, tiny):
+        # numpy's complex quotient 1e-310 / 1e-310 is inf + nan j: such a
+        # tensor was once decided not similar to itself
+        a = sparse(3, 2, {(1, 1, 2): tiny, (2, 1, 1): 2})
+        sigma = Permutation((2, 1))
+        for b, want in ((a, Permutation.identity(2)), (permutation_transform(a, sigma), sigma)):
+            w = decide_similar(a, b)
+            assert w is not None and w.sigma == want and np.allclose(w.d.values, 1.0)
+
     def test_order_and_shape_errors(self):
         with pytest.raises(OrderError):
             decide_similar(unit_tensor(2, 2), unit_tensor(2, 2))

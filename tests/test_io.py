@@ -12,6 +12,7 @@ from tensim import (
     DiagonalScaling,
     EntryLimitError,
     FormatError,
+    OrderError,
     Permutation,
     StructuredWitness,
     Tensor,
@@ -201,12 +202,13 @@ class TestWitnessFiles:
         assert back.m == 3 and back.p == w.p and back.q == w.q
 
     def test_rejects_non_matrix_members(self):
+        # the rule lives in Witness alone, so the reader raises its OrderError
         doc = {
             "m": 3,
             "P": tensor_to_dict(unit_tensor(3, 2)),
             "Q": tensor_to_dict(unit_tensor(2, 2)),
         }
-        with pytest.raises(FormatError):
+        with pytest.raises(OrderError):
             witness_from_dict(doc)
 
     def test_missing_member(self):

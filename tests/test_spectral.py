@@ -24,10 +24,10 @@ from tensim import (
     structured_transform,
     unit_tensor,
 )
-from tensim.generate import random_structured_witness, random_tensor
+from tensim.generate import random_tensor
 from tensim.spectral import _binary_form_coeffs, charpoly_distance
 
-from reference import binary_form_coeffs, sylvester_resultant_dim2
+from reference import binary_form_coeffs, sylvester_resultant_dim2, witness_in_range
 
 
 def poly_from_roots(roots):
@@ -75,7 +75,7 @@ class TestCharPolyFrozen:
             char_poly_dim2(Tensor([1.0, 2.0]))
 
 
-#: The witness magnitude ranges of the generators: the default and a wide one.
+#: The witness magnitude ranges: the generators' default and a wide one.
 WITNESS_RANGES = ((0.1, 10.0), (0.01, 100.0))
 
 
@@ -86,7 +86,7 @@ class TestSimilarityInvariance:
             for magnitudes in WITNESS_RANGES:
                 for _ in range(10):
                     a = random_tensor(rng, m, 2)
-                    s = random_structured_witness(rng, m, 2, magnitudes)
+                    s = witness_in_range(rng, m, 2, magnitudes)
                     b = structured_transform(a, s)
                     assert charpolys_equivalent(char_poly_dim2(a), char_poly_dim2(b), rtol=1e-7)
 
@@ -96,7 +96,7 @@ class TestSimilarityInvariance:
             for magnitudes in WITNESS_RANGES:
                 for _ in range(10):
                     a = random_tensor(rng, m, 2)
-                    s = random_structured_witness(rng, m, 2, magnitudes)
+                    s = witness_in_range(rng, m, 2, magnitudes)
                     b = structured_transform(a, s)
                     spec_a = spectrum_dim2(a)
                     atol = 1e-6 * max(1.0, float(np.max(np.abs(spec_a))))
@@ -140,9 +140,19 @@ class TestSpectrum:
             for magnitudes in WITNESS_RANGES:
                 for _ in range(5):
                     a = random_tensor(rng, m, 2)
-                    b = structured_transform(a, random_structured_witness(rng, m, 2, magnitudes))
+                    b = structured_transform(a, witness_in_range(rng, m, 2, magnitudes))
                     assert len(spectrum_dim2(a)) == 2 * (m - 1)
                     assert len(spectrum_dim2(b)) == 2 * (m - 1)
+
+
+class TestPastTheFloatRange:
+    def test_overflowing_forms_give_non_finite_results(self):
+        # the first form sums 1e308 + 1e308, past the float range: NaN, not a
+        # LinAlgError, and no RuntimeWarning
+        a = Tensor(np.array([[[1e308, 1e308], [1e308, 1e308]], [[0, 0], [0, 1]]]))
+        cp, spectrum = char_poly_dim2(a), spectrum_dim2(a)
+        assert cp.degree == 4 and len(spectrum) == 4
+        assert not np.isfinite(cp.coeffs).all() and not np.isfinite(spectrum).any()
 
 
 class TestSylvesterResultant:
