@@ -8,7 +8,10 @@ bytes (for ``decide``, the witness alone).  Exit codes:
 * 1: well-formed negative answer (not similar, check failed);
 * 2: usage or input error (unreadable file, input over the entry limit, a
   ``--diag`` entry that is zero, not finite, or of magnitude at most 1e-300);
-* 3: numeric failure: a result is not finite, so strict JSON cannot hold it.
+* 3: numeric failure: a result is not finite, so strict JSON cannot hold it
+  (``charpoly`` past the float range or where the eigenvalue iteration does
+  not converge), or ``decide`` finds the tensors similar but no witness with
+  every ``d`` entry in the float range.
 
 After an error standard output stays empty.  Numbers are printed with
 shortest round-trip representation, so identical inputs produce
@@ -18,7 +21,6 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import math
 import sys
@@ -73,9 +75,7 @@ def _parse_diag(text: str) -> DiagonalScaling:
             values.append(complex(literal))
         except ValueError as exc:
             raise FormatError(f"cannot parse diagonal entry {part!r}") from exc
-        if not cmath.isfinite(values[-1]) or values[-1] == 0:
-            raise FormatError(f"diagonal entry {part!r} must be finite and nonzero")
-    return DiagonalScaling(np.array(values))
+    return DiagonalScaling(np.array(values))  # DiagonalScaling rejects entries not finite and nonzero
 
 
 def _tolerance(text: str) -> float:
@@ -386,6 +386,9 @@ def main(argv=None) -> int:
     except (TensimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:  # a witness exists, but none in the float range
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     sys.stdout.write(text)
     print(summary, file=sys.stderr)
     return code

@@ -47,15 +47,15 @@ Inputs are assumed to carry exact zeros; clean floating-point noise first
 from __future__ import annotations
 
 import hashlib
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import compress
 from typing import Iterator
 
 import numpy as np
 
 from .core import Tensor, is_diagonal, nnz
-from .errors import OrderError, ShapeError
+from .errors import OrderError, ShapeError, WitnessError
 from .similarity import DiagonalScaling, Permutation, StructuredWitness
 
 #: Largest relative error of a rebuilt nonzero of ``B`` that the decision
@@ -206,16 +206,14 @@ def _less(r: dict[int, int], q: int, h: dict[int, int]) -> dict[int, int]:
     return r
 
 
-def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of the integer matrix ``m`` by unimodular row
-    operations, and its pivot columns among the first ``ncols``: down each
-    column, Euclid's algorithm with the row of least magnitude (the first on
-    ties) as divisor, by floor division.  The work is on sparse rows of Python
-    integers; the result is int64, or object once a reduced entry reaches ``2^31``."""
-    (size, width), pivots, big = m.shape, [], False
-    ncols = width if ncols is None else ncols
-    rows = [dict(compress(enumerate(r), r)) for r in m.tolist()]
-    lead = [min(r, default=width) for r in rows]  # first nonzero column of each row
+def _echelon(rows: list[dict[int, int]], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Row echelon form of the sparse integer rows ``rows`` (column -> nonzero)
+    by unimodular row operations, and its pivot columns among the first
+    ``ncols``: down each column, Euclid's algorithm with the row of least
+    magnitude (the first on ties) as divisor, by floor division, on Python
+    integers.  The result is sparse rows too."""
+    rows, size, pivots = list(rows), len(rows), []
+    lead = [min(r, default=ncols) for r in rows]  # first nonzero column of each row
     while len(pivots) < size and (c := min(lead[len(pivots) :])) < ncols:
         top = len(pivots)
         while (live := [i for i in range(top, size) if lead[i] == c]) != [top]:
@@ -223,14 +221,9 @@ def _echelon(m: np.ndarray, ncols: int | None = None) -> tuple[np.ndarray, list[
             rows[top], rows[p], lead[top], lead[p] = rows[p], rows[top], lead[p], lead[top]
             for i in [i for i in live if i != top and lead[i] == c]:  # top's old row is at p
                 rows[i] = r = _less(rows[i], rows[i][c] // rows[top][c], rows[top])
-                lead[i] = min(r, default=width)
-                big = big or max(map(abs, r.values()), default=0) >= 2**31
+                lead[i] = min(r, default=ncols)
         pivots.append(c)
-    out = np.zeros((size, width), dtype=object if big else np.int64)
-    out[[i for i, r in enumerate(rows) for _ in r], [k for r in rows for k in r]] = [
-        x for r in rows for x in r.values()
-    ]
-    return out, pivots
+    return rows, pivots
 
 
 def _join(basis: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, dict[int, int]]:
@@ -254,67 +247,76 @@ class _ScalingSolve:
     Row ``i`` of ``E``, the net exponent vector of ``A``'s ``i``-th nonzero
     ``j`` (``1 - m`` at ``j_1``, one more at each of ``j_2, ..., j_m``), is held
     as the multi-indices and the slot weights.  ``F`` holds the distinct rows of
-    ``E`` by size, each with its count.  Its rows join an echelon basis of the
-    lattice ``L(G)`` (:func:`_join`) as they are read: first the linearly
-    independent ones, up to the rank bound ``n - c`` (each of the ``c``
+    ``E`` by size, each as the labels of one nonzero that makes it and its count
+    (``O(N_F m)``), made a sparse row only where read.  Its rows join an echelon
+    basis of the lattice ``L(G)`` (:func:`_join`) as they are read: first the
+    linearly independent ones, up to the rank bound ``n - c`` (each of the ``c``
     components of the support has its indicator in the kernel of ``E``), whose
     pivot columns ``P`` are the labels solved for, the others the gauge
-    (``d = 1``).  The fits use ``E^T E = F^T diag(count) F`` on ``P``, in
-    float64 exactly (< ``2^53``).  :meth:`solve` fits ``log|d|`` first and
-    rejects the candidate when some ``|a| exp(E log|d|)`` misses ``|b|`` by
-    more than ``(rtol + 1e-12) |b|``: as ``||r| - |b|| <= |r - b|``, the rebuild
-    would reject it too, at every ``rtol >= 0``, while rounding stays within
-    ``1e-12`` (measured below ``2 m ulp max|log|d||``, so for ``m max|log|d||``
-    up to about ``10^3``).  At the first candidate that passes, the rows outside
-    ``L(G)`` join in one pass, until every pivot is ``+-1``, and one echelon
-    form ``H = U G`` (``g_rows``, ``interp``) is a lattice basis of known
-    integer combinations of rows of ``E``: the phases of ``H x`` follow from
-    those of ``E x`` and fix every row's phase modulo ``2*pi``.
+    (``d = 1``).  The fits use ``E^T E`` on ``P``, summed over the label pairs
+    of ``F`` times the counts, in float64 exactly (< ``2^53``).  :meth:`solve`
+    fits ``log|d|`` first and rejects the candidate when some
+    ``|a| exp(E log|d|)`` misses ``|b|`` by more than ``(rtol + 1e-12) |b|``:
+    as ``||r| - |b|| <= |r - b|``, the rebuild would reject it too, at every
+    ``rtol >= 0``, while rounding stays within ``1e-12`` (measured below
+    ``2 m ulp max|log|d||``, so for ``m max|log|d||`` up to about ``10^3``).
+    At the first candidate that passes, the rows outside ``L(G)`` join in one
+    pass, until every pivot is ``+-1``, and one echelon form of the sparse
+    rows ``[G | I]``, ``H = U G`` (``g_rows``, ``interp``), is a lattice basis
+    of known integer combinations of rows of ``E``: the phases of ``H x``
+    follow from those of ``E x`` and fix every row's phase modulo ``2*pi``.
     """
 
     def __init__(self, a: Tensor):
         m, n = a.order, a.dim
         self.n, self.j = n, a.nonzeros
         self.a_vals = a.data[tuple(self.j.T)]
-        self.w = np.array([1 - m] + [1] * (m - 1))
+        self.w = w = np.array([1 - m] + [1] * (m - 1))
         # a row is fixed by its head and the multiset of its tail labels; its size
         # (tail labels off the head) comes first: small rows keep G near one per pivot
         tails = np.sort(self.j[:, 1:], axis=1)
         size = (tails != self.j[:, :1]).sum(axis=1)
         keys = np.ravel_multi_index((size, self.j[:, 0], *tails.T), (m, *a.shape))
         _, first, count = np.unique(keys, return_index=True, return_counts=True)
-        f = np.zeros((len(first), n), dtype=np.int64)
-        np.add.at(f, (np.arange(len(first))[:, None], self.j[first]), self.w)
+        self.f = f = self.j[first]  # F: each distinct row as the labels of one nonzero that makes it
         # labels joined by a path of nonzeros, by squaring until closed (exact: counts < 2^24)
         reach = np.eye(n, dtype=np.float32)
         reach[self.j[:, :1], self.j[:, 1:]] = reach[self.j[:, 1:], self.j[:, :1]] = 1
         while not np.array_equal(reach, wider := np.sign(reach @ reach)):
             reach = wider
-        rank = n - np.count_nonzero(reach.argmax(axis=1) == np.arange(n))
+        self.comp = reach.argmax(axis=1)  # each label's component, as its lowest label
+        rank = n - np.count_nonzero(self.comp == np.arange(n))
         basis, g = {}, []  # basis: pivot column -> sparse row, an echelon basis of L(G)
-        for i in range(len(f)):  # a row joins when it raises the rank
-            joined = _join(basis, dict(compress(enumerate(row := f[i].tolist()), row)))
-            if joined.keys() - basis.keys():
+        for i in range(len(first)):  # a row joins when it raises the rank, up to the bound
+            if len(basis) == rank:
+                break
+            if (joined := _join(basis, self._row(i))).keys() - basis.keys():
                 basis |= joined
                 g.append(i)
-                if len(basis) == rank:
-                    break
         self.p = sorted(basis)  # G spans the rows of E: its pivots are those of any echelon form
-        self._lattice = f, first, basis, g  # closed by _phase, at the first fit of the magnitudes
-        fp = f[:, self.p].astype(float)
-        self.gram_inv = np.linalg.inv((fp.T * count) @ fp)
+        self._lattice = first, basis, g  # closed by _phase, at the first fit of the magnitudes
+        pairs = (f[:, :, None] * n + f[:, None, :]).ravel()  # F^T diag(count) F, exact: < 2^53
+        gram = np.bincount(pairs, (count[:, None, None] * np.outer(w, w.astype(float))).ravel(), n * n)
+        self.gram_inv = np.linalg.inv(gram.reshape(n, n)[self.p][:, self.p])
+
+    def _row(self, i: int) -> dict[int, int]:
+        """Row ``i`` of ``F`` as a sparse integer row (column -> nonzero)."""
+        head, *tail = self.f[i].tolist()  # -(m - 1) at the head, one more per tail slot
+        return {k: y for k in {head, *tail} if (y := tail.count(k) - (k == head) * len(tail))}
 
     @cached_property
     def _phase(self) -> tuple[np.ndarray, np.ndarray]:
         """``(g_rows, interp)``: the second pass of the join, then ``H = U G``."""
-        f, first, basis, g = self._lattice
-        for i in range(len(f)):  # a row joins when it is outside L(G); G's rows are inside
+        first, basis, g = self._lattice
+        for i in range(len(first)):  # a row joins when it is outside L(G); G's rows are inside
             if all(abs(h[c]) == 1 for c, h in basis.items()):
                 break
-            basis |= (joined := _join(basis, dict(compress(enumerate(row := f[i].tolist()), row))))
+            basis |= (joined := _join(basis, self._row(i)))
             g += [i] * bool(joined)
-        hu = _echelon(np.hstack([f[g], np.eye(len(g), dtype=np.int64)]), self.n)[0][: len(self.p)]
-        return first[g], np.linalg.solve(hu[:, self.p].astype(float), hu[:, self.n :].astype(float))
+        k, cols = len(self.p), self.p + list(range(self.n, self.n + len(g)))  # [H on P | U]
+        hu = _echelon([self._row(i) | {c: 1} for i, c in zip(g, cols[k:])], self.n)[0][:k]
+        h_u = np.array([[r.get(c, 0) for c in cols] for r in hu], dtype=float).reshape(k, len(cols))
+        return first[g], np.linalg.solve(h_u[:, :k], h_u[:, k:])
 
     g_rows, interp = (property(lambda self, i=i: self._phase[i]) for i in range(2))
 
@@ -344,9 +346,14 @@ class _ScalingSolve:
         base[self.p] = self.interp @ turns[self.g_rows]
         wraps = np.rint(self._apply(base) - turns)
         x = log_mag + 2j * np.pi * self._fit(turns + wraps)
-        if np.all(np.abs(self.a_vals * np.exp(self._apply(x)) - b_vals) <= rtol * np.abs(b_vals)):
-            return DiagonalScaling(np.exp(x))
-        return None
+        for _ in range(2):  # the second time with log|d| centred on 0 over each component
+            if not np.all(np.abs(self.a_vals * np.exp(self._apply(x)) - b_vals) <= rtol * np.abs(b_vals)):
+                return None
+            with np.errstate(over="ignore", invalid="ignore"), suppress(WitnessError):
+                return DiagonalScaling(np.exp(x))  # unless the gauge put some |d| past the float range
+            span = np.where(self.comp[:, None] == self.comp, x.real, np.nan)  # log|d| by component
+            x = x - (np.nanmax(span, 1) + np.nanmin(span, 1)) / 2
+        raise OverflowError("no witness of this relabeling has every |d| in the float range")
 
 
 def solve_diagonal(
@@ -359,7 +366,9 @@ def solve_diagonal(
     ``d`` up to the gauge only: a label whose column of the exponent matrix
     is a combination of the columns of lower labels gets ``d = 1``.  That
     includes every label in no nonzero of ``a`` and the highest label of
-    each connected component, so an empty system gives the identity.
+    each connected component, so an empty system gives the identity, unless
+    some ``|d|`` then leaves the float range: ``log|d|`` is then centred on 0
+    over each component, and ``OverflowError`` raised if that leaves it too.
     """
     if a.order < 3:
         raise OrderError("diagonal solve applies to order >= 3")
@@ -401,6 +410,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     ``a / a`` is ``1`` only up to about ``6e-17j``.  Subnormal entries are
     decided like normal ones: where numpy's quotient ``b / a`` overflows at a
     subnormal ``a``, the solve divides again with both scaled by ``2**54``.
+    When the first relabeling that rebuilds ``b`` has no witness with every
+    ``|d|`` in the float range (see :func:`solve_diagonal`), ``OverflowError``.
     """
     if a.order != b.order or a.dim != b.dim:
         raise ShapeError("tensors must share order and dimension")
@@ -408,7 +419,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
         raise OrderError("the decision procedure applies to order >= 3")
     diag = (np.arange(a.dim),) * a.order
     a_diag, b_diag = a.data[diag], b.data[diag]
-    allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
+    with np.errstate(over="ignore"):  # an infinite difference is never within the tolerance
+        allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
     scaling = None  # built at the first candidate: most unrelated pairs yield none
     for pi in pattern_permutations(a, b, allowed=allowed):
         scaling = scaling or _ScalingSolve(a)

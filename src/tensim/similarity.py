@@ -103,7 +103,12 @@ class Permutation:
 
 
 class DiagonalScaling:
-    """An invertible diagonal matrix, stored as its ``n`` nonzero entries."""
+    """An invertible diagonal matrix, stored as its ``n`` nonzero entries.
+
+    Every entry must be finite and of magnitude above ``1e-300`` (a smaller
+    one counts as zero); otherwise ``WitnessError``.  This is the one check of
+    scaling entries: ``--diag`` on the command line and the scaling solve rely
+    on it."""
 
     __slots__ = ("_values",)
 
@@ -111,8 +116,8 @@ class DiagonalScaling:
         vals = np.asarray(values, dtype=np.complex128)
         if vals.ndim != 1 or vals.shape[0] < 1:
             raise ShapeError("diagonal scaling needs a 1-d vector of entries")
-        if np.any(np.abs(vals) <= _MIN_DIAGONAL_MAGNITUDE):
-            raise WitnessError("diagonal scaling entries must be nonzero")
+        if not (np.isfinite(vals) & (np.abs(vals) > _MIN_DIAGONAL_MAGNITUDE)).all():
+            raise WitnessError("diagonal scaling entries must be finite and nonzero")
         vals = vals.copy()
         vals.setflags(write=False)
         self._values = vals

@@ -22,6 +22,7 @@ machinery that is out of scope here.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,9 +140,14 @@ def spectrum_dim2(a: Tensor) -> list[complex]:
 def _char_poly_and_spectrum(a: Tensor) -> tuple[CharPoly, list[complex]]:
     """:func:`char_poly_dim2` and :func:`spectrum_dim2` from one eigenvalue
     computation of the Sylvester matrix.  Past the float range no finite
-    polynomial exists: the coefficients and roots are then not finite."""
+    polynomial exists, and where LAPACK's eigenvalue iteration does not
+    converge there are no roots to trust: the coefficients and roots are then
+    not finite."""
     s = _sylvester_matrix(a)
-    roots = np.linalg.eigvals(s) if np.isfinite(s).all() else np.full(len(s), np.nan + 0j)
+    roots = np.full(len(s), np.nan + 0j)
+    if np.isfinite(s).all():
+        with suppress(np.linalg.LinAlgError):  # "Eigenvalues did not converge"
+            roots = np.linalg.eigvals(s)
     if a.order == 2:
         m = a.data
         tr = m[0, 0] + m[1, 1]

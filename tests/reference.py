@@ -287,6 +287,16 @@ def numpy_pair(seed, m, n, density):
     return a, _scaled_and_relabeled(rng, a)
 
 
+def chain_pair(n, step):
+    """``(a, b)`` at order 3 and dimension ``n``: ``a[i, i+1, i+1] = 1`` and
+    ``b[i, i+1, i+1] = exp(step)`` for ``i < n - 1``, similar via
+    ``log d_(i+1) - log d_i = step / 2``."""
+    a, b = np.zeros((n,) * 3), np.zeros((n,) * 3)
+    i = np.arange(n - 1)
+    a[i, i + 1, i + 1], b[i, i + 1, i + 1] = 1.0, np.exp(step)
+    return a, b
+
+
 def cycles_pair(seed, c):
     """``(a, b)`` at order 3 and dimension ``3 c``: ``a`` holds ``c`` disjoint
     3-cycles, ``a[3t+k, 3t+(k+1)%3, 3t+(k+1)%3]`` drawn from ``U(1, 2)`` in

@@ -29,7 +29,7 @@ from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
 
-from reference import cycles_pair, numpy_pair, witness_in_range
+from reference import chain_pair, cycles_pair, numpy_pair, witness_in_range
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -314,6 +314,37 @@ class TestDecideCommand:
         s = read_structured_witness(out_path)
         assert s.m == 3
 
+    def test_opposite_diagonals_near_the_float_maximum(self, tmp_path):
+        # the diagonal mask's difference overflows; under warnings as errors
+        # that once ended the command with a RuntimeWarning
+        t = np.zeros((3, 3, 3))
+        t[0, 0, 0], t[1, 1, 1], t[2, 0, 1] = 1.7e308, -1.7e308, 1.0
+        write_tensor(Tensor(t), tmp_path / "t.json")
+        code, out, _ = run_cli(["decide", str(tmp_path / "t.json"), str(tmp_path / "t.json")])
+        assert code == 0 and json.loads(out)["witness"]["sigma"] == [1, 2, 3]
+
+    @staticmethod
+    def chain_files(tmp_path, n, step):
+        """The files of :func:`reference.chain_pair`."""
+        a, b = chain_pair(n, step)
+        write_tensor(Tensor(a), tmp_path / "a.json")
+        write_tensor(Tensor(b), tmp_path / "b.json")
+        return [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+
+    @pytest.mark.parametrize("step", [700.0, -700.0])
+    def test_witness_past_the_gauge_range(self, tmp_path, step):
+        # with d = 1 at label 4, |d_1| is exp(+-1050); centred, every d fits
+        code, out, _ = run_cli(["decide", *self.chain_files(tmp_path, 4, step)])
+        assert code == 0
+        d = np.array([complex(re, im) for re, im in json.loads(out)["witness"]["d"]])
+        assert np.isfinite(d).all() and (np.abs(d) > 1e-300).all()
+
+    @pytest.mark.parametrize("step", [700.0, -700.0])
+    def test_no_witness_in_the_float_range(self, tmp_path, step):
+        code, out, err = run_cli(["decide", *self.chain_files(tmp_path, 6, step)])
+        assert (code, out) == (3, "")
+        assert "float range" in err
+
 
 class TestDecideGolden:
     """``tensim decide`` stdout, byte for byte.  The dense pairs have distinct
@@ -375,6 +406,14 @@ class TestCharpolyCommand:
         # the first form sums 1e308 + 1e308: no finite polynomial exists
         entries = [[[1e308, 1e308], [1e308, 1e308]], [[0, 0], [0, 1]]]
         path = tmp_path / "big.json"
+        path.write_text(json.dumps({"order": 3, "dim": 2, "format": "dense", "entries": entries}))
+        code, out, _ = run_cli(["charpoly", str(path)])
+        assert (code, out) == (3, "")
+
+    def test_eigenvalue_failure_is_a_numeric_failure(self, tmp_path):
+        # finite forms on which LAPACK's eigenvalue iteration does not converge
+        entries = [[[0, 1e60], [-1e70, 1e20]], [[1e20, -1e170], [0, 1e70]]]
+        path = tmp_path / "wide.json"
         path.write_text(json.dumps({"order": 3, "dim": 2, "format": "dense", "entries": entries}))
         code, out, _ = run_cli(["charpoly", str(path)])
         assert (code, out) == (3, "")

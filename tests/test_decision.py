@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from tensim.generate import (
 
 from reference import (
     brute_force_pattern_key,
+    chain_pair,
     cycles_pair,
     naive_relabel,
     numpy_pair,
@@ -491,14 +493,16 @@ class TestScalingLatticeOracle:
         self.assert_same_lattice(sparse(3, n, entries))
 
     def test_echelon_past_int64_products(self):
-        # entries near 2**30 take the reduction step past 2**31, onto Python integers
+        # entries near 2**30 take the reduction step past 2**31: the sparse rows
+        # hold Python integers, which the reference switches to at that bound
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = rng.integers(-(2**30), 2**30, size=(4, 6))
-            got, pivots = decision._echelon(m.copy())
+            rows = [{k: y for k, y in enumerate(r) if y} for r in m.tolist()]
+            got, pivots = decision._echelon(rows, 6)
             want, want_pivots = reference_echelon(m.copy())
-            assert got.dtype == object and pivots == want_pivots
-            assert got.tolist() == want.tolist()
+            assert pivots == want_pivots
+            assert [[r.get(k, 0) for k in range(6)] for r in got] == want.tolist()
 
     def test_empty_and_diagonal_supports(self):
         self.assert_same_lattice(Tensor(np.zeros((3, 3, 3))))
@@ -558,6 +562,60 @@ class TestScalingLatticeOracle:
         sigma = Permutation(tuple(int(v) + 1 for v in rng.permutation(40)))
         assert decide_similar(a, structured_transform(a, StructuredWitness(sigma, d, 3))) is not None
         assert calls == [1]
+
+    def test_build_memory_is_bounded_by_the_nonzero_list(self):
+        # each distinct row of E is held as one nonzero's labels and its count:
+        # no array of one row per distinct row and one column per label
+        a = Tensor(np.random.default_rng(0).uniform(1, 2, (60,) * 3))
+        a.nonzeros  # the list itself is the tensor's, built once
+        tracemalloc.start()
+        try:
+            decision._ScalingSolve(a).interp
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * a.nonzeros.nbytes
+
+
+class TestFloatRange:
+    """Inputs near the ends of the float range: the diagonal mask, and
+    witnesses whose gauge puts some ``|d|`` past the range."""
+
+    def test_opposite_diagonals_near_the_float_maximum(self):
+        # b[v..v] - a[w..w] overflows to inf, which is never within the tolerance
+        t = np.zeros((3, 3, 3))
+        t[0, 0, 0], t[1, 1, 1], t[2, 0, 1] = 1.7e308, -1.7e308, 1.0
+        w = decide_similar(Tensor(t), Tensor(t))
+        assert w is not None and w.sigma == Permutation.identity(3)
+
+    @pytest.mark.parametrize("step", [700.0, -700.0])
+    def test_witness_centred_into_the_float_range(self, step):
+        # d = 1 at label 4 gives |log d_1| = 1050, past the range; centred,
+        # log|d| is (-525, -175, 175, 525) times the sign of the step
+        a, b = map(Tensor, chain_pair(4, step))
+        w = decide_similar(a, b)
+        assert w is not None and w.sigma == Permutation.identity(4)
+        log_d = np.log(w.d.values)
+        assert np.allclose(log_d.real, np.sign(step) * np.array([-525, -175, 175, 525]))
+        j = a.nonzeros  # a[j] d_j1^(1-m) d_j2 d_j3, in logs: exp(E log d) overflows no float
+        rebuilt = np.exp(np.log(a.data[tuple(j.T)]) + log_d[j] @ np.array([-2, 1, 1]))
+        assert np.allclose(rebuilt, b.data[tuple(j.T)], rtol=1e-8, atol=0)
+
+    def test_in_range_witness_is_not_centred(self):
+        # a spread that fits keeps the gauge: d = 1 at the highest label
+        a, b = map(Tensor, chain_pair(4, 200.0))
+        w = decide_similar(a, b)
+        assert w.d.values[-1] == 1
+        assert np.allclose(np.log(w.d.values).real, [-300, -200, -100, 0])
+
+    @pytest.mark.parametrize("step", [700.0, -700.0])
+    def test_no_witness_in_the_float_range(self, step):
+        # log|d| spans 1750 over the one component: no shift fits it in floats
+        a, b = map(Tensor, chain_pair(6, step))
+        with pytest.raises(OverflowError):
+            decide_similar(a, b)
+        with pytest.raises(OverflowError):
+            solve_diagonal(a, b, Permutation.identity(6))
 
 
 class TestTiedStatistics:

@@ -84,6 +84,12 @@ class TestDiagonalScaling:
         with pytest.raises(WitnessError):
             DiagonalScaling([1.0, 0.0])
 
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan, complex(1, np.inf), complex(np.nan, 1)])
+    def test_rejects_non_finite_entry(self, entry):
+        # one rule, and one message, with the zero and tiny entries
+        with pytest.raises(WitnessError, match="finite and nonzero"):
+            DiagonalScaling([entry, 1.0])
+
     def test_matrix_powers(self):
         d = DiagonalScaling([2.0, 4.0])
         assert np.allclose(d.matrix(-1).data, np.diag([0.5, 0.25]))

@@ -154,6 +154,15 @@ class TestPastTheFloatRange:
         assert cp.degree == 4 and len(spectrum) == 4
         assert not np.isfinite(cp.coeffs).all() and not np.isfinite(spectrum).any()
 
+    def test_eigenvalues_that_do_not_converge_give_non_finite_results(self):
+        # finite forms whose Sylvester matrix spans 1e20 .. 1e170: LAPACK's
+        # iteration fails, and no root of S or of a transposed or scaled S is
+        # trusted (the two disagree on the small root), so none is reported
+        a = Tensor(np.array([[[0, 1e60], [-1e70, 1e20]], [[1e20, -1e170], [0, 1e70]]]))
+        cp, spectrum = char_poly_dim2(a), spectrum_dim2(a)
+        assert cp.degree == 4 and len(spectrum) == 4
+        assert not np.isfinite(cp.coeffs).all() and not np.isfinite(spectrum).any()
+
 
 class TestSylvesterResultant:
     def test_fresh_samples_match_determinant(self):
