@@ -31,8 +31,8 @@ for tolerances well above ``1e-13``) and, unless the values pin every label,
 by a joint colour refinement of the two patterns (the canonical hash's).
 One candidate per label is checked with one gather.  Where some label is left
 more than one, the search individualizes one label of ``B`` and each of its
-candidates in turn and refines again (individualization-refinement, with the
-canonical hash's child step and stack walk, not by recursion).  Dense
+candidates in turn and refines again (individualization-refinement, by the
+one walk that the canonical hash takes too, not by recursion).  Dense
 tensors with distinct diagonals so cost one gather, one build, one solve, no
 refinement, and value-free disjoint copies of one block a few refinements
 (7 for 7 copies of one nonzero at ``n = 21``).  Two classes still cost up to
@@ -50,7 +50,7 @@ import hashlib
 from contextlib import suppress
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -114,17 +114,72 @@ def _refine(col: np.ndarray, j: np.ndarray, n: int) -> np.ndarray | None:
         col, ncol = np.array([rank[w] for w in words]), len(rank)
 
 
-def _children(
-    col: np.ndarray, x: int, lists: Iterator[list[int]], j: np.ndarray, n: int
-) -> Iterator[tuple[list[int], np.ndarray]]:
-    """``(labels, child)`` for each list drawn from ``lists``, lazily: ``col``
-    with those labels of colour ``x`` kept at ``x`` and the rest split off to
-    ``x + 1``, refined by :func:`_refine`, and skipped when unbalanced."""
-    for labels in lists:
-        child = col + (col > x) + (col == x)
-        child[labels] = x
-        if (child := _refine(child, j, n)) is not None:
-            yield labels, child
+def _walk(
+    root: np.ndarray | None, j: np.ndarray, n: int, cell: Callable, automorphisms=(), twin=None
+) -> Iterator[np.ndarray]:
+    """Yield the leaves below the colouring ``root`` (none if ``None``) of the
+    individualization-refinement tree, depth first, one stack frame per depth.
+    ``cell(col)`` is ``(None, leaf)`` at a leaf, else ``(ws, fixed)``: child
+    ``w`` of ``ws``, in order, keeps ``w`` and ``fixed`` at their colour ``x``,
+    splits the rest of ``x`` off to ``x + 1`` and is refined, unless unbalanced.
+
+    With ``twin``, children with equal subtrees are skipped: those in the orbit
+    of a child already tried under the ``automorphisms`` that fix the node's
+    individualized labels.  A consumer appends one at a leaf whose certificate
+    it has seen, and the walk returns to where the two paths part: the first
+    depth whose label it moves.  Before a second child ``v`` is tried,
+    ``twin(u, v)`` checks the swap of ``v`` with the first child ``u``; when it
+    is an automorphism, ``u`` and ``v`` are twins at every node, which keeps the
+    empty, dense and unit patterns at one leaf and ``n`` refinements.
+    """
+    twins = list(range(n))  # union-find of labels whose swap is an automorphism
+
+    def find(root: list[int], v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    def orbits(path: list[int]) -> list[int]:
+        """Orbit roots under the twin swaps and the automorphisms that fix
+        every label of ``path``."""
+        root = [find(twins, v) for v in range(n)]
+        for g in automorphisms:
+            if all(g[v] == v for v in path):
+                for v, w in enumerate(g.tolist()):
+                    root[find(root, v)] = find(root, w)
+        return [find(root, v) for v in range(n)]
+
+    def children(path, col, ws, fixed) -> Iterator[tuple[list[int], np.ndarray]]:
+        tried: list[int] = []
+        roots, seen = None, -1
+        for v in ws:
+            if tried and twin:
+                if seen != len(automorphisms):
+                    roots, seen = orbits(path), len(automorphisms)
+                if any(find(twins, v) == find(twins, u) or roots[v] == roots[u] for u in tried):
+                    continue
+                # a swap of two labels off the path fixes the path: when it is
+                # an automorphism, v's subtree is the image of u's
+                if twin(u := tried[0], v):
+                    twins[find(twins, v)] = find(twins, u)
+                    continue
+            tried.append(v)
+            child = col + (col > (x := col[v])) + (col == x)
+            child[[v, *fixed]] = x
+            if (child := _refine(child, j, n)) is not None:
+                yield path + [v], child
+
+    stack = [] if root is None else [iter([([], root)])]  # per depth: the nodes left to walk
+    while stack:
+        if (node := next(stack[-1], None)) is None:
+            stack.pop()
+        elif (split := cell(node[1]))[0] is not None:
+            stack.append(children(*node, *split))
+        else:
+            known = len(automorphisms)
+            yield split[1]
+            for g in automorphisms[known:]:  # depth d walks its children in stack[d + 1]
+                del stack[next(d for d, v in enumerate(node[0]) if g[v] != v) + 2 :]
 
 
 def pattern_permutations(
@@ -147,15 +202,15 @@ def pattern_permutations(
     checked with one gather: it must be injective and map every nonzero of
     ``b`` onto a nonzero of ``a``; when ``allowed`` alone pins every label or
     leaves one none, nothing is refined first, as refinement only drops
-    candidates no relabeling uses.  Otherwise the first label ``v`` of ``b``
-    with more than one candidate is individualized together with each
-    candidate ``w`` in ascending order: the two get a colour of their own,
-    the joint colouring is refined again, and the search goes on from the
-    result, down to colourings that leave one candidate per label.  Every
-    relabeling that maps ``v`` to ``w`` keeps the colours of each label and
-    its image equal through the refinement, so it is found below that child
-    and no other, and as the labels before ``v`` have one candidate each, the
-    relabelings come in lexicographic order of the image tuple.
+    candidates no relabeling uses.  Otherwise :func:`_walk`, unpruned,
+    individualizes the first label ``v`` of ``b`` with more than one candidate
+    together with each candidate ``w`` in ascending order: the two get a colour
+    of their own, the joint colouring is refined again, and the search goes on
+    from the result, down to colourings that leave one candidate per label.
+    Every relabeling that maps ``v`` to ``w`` keeps the colours of each label
+    and its image equal through the refinement, so it is found below that
+    child and no other, and as the labels before ``v`` have one candidate
+    each, the relabelings come in lexicographic order of the image tuple.
     """
     if a.shape != b.shape:
         return
@@ -166,29 +221,27 @@ def pattern_permutations(
     allowed = np.ones((n, n), dtype=bool) if allowed is None else np.asarray(allowed, dtype=bool)
     if allowed.shape != (n, n):
         raise ShapeError(f"allowed mask must have shape ({n}, {n})")
-    col, counts = np.zeros(2 * n, dtype=np.intp), allowed.sum(axis=1)  # one colour: allowed decides
-    if counts.all() and counts.max() > 1:  # a pinned map needs no refinement: the gather decides it
-        j = np.vstack([ja, jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
-        if (col := _refine(col, j, n)) is None:
-            return
-    stack = [iter([([], col)])]  # one frame per depth: the colourings left to walk there
-    while stack:
-        if (node := next(stack[-1], None)) is None:
-            stack.pop()
-            continue
-        col = node[1]
+
+    def cell(col: np.ndarray) -> tuple:
         ok = (col[n:, None] == col[:n]) & allowed
         counts = ok.sum(axis=1)
         if not counts.all():
-            continue
+            return [], []  # a label without candidates: no children
         if (counts == 1).all():
-            pi = ok.argmax(axis=1)
-            if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
-                yield Permutation(tuple((pi + 1).tolist()))
-            continue
+            return None, ok
         v = int(np.argmax(counts > 1))
-        pairs = [[w, n + v] for w in np.flatnonzero(ok[v]).tolist()]  # bound now: v moves on
-        stack.append(_children(col, col[n + v], iter(pairs), j, n))
+        return np.flatnonzero(ok[v]).tolist(), [n + v]
+
+    if not (counts := allowed.sum(axis=1)).all():
+        return
+    leaves: Iterator[np.ndarray] = iter([allowed])  # a pinned map: the gather decides, unrefined
+    if counts.max() > 1:
+        j = np.vstack([ja, jb + n])  # labels 0..n-1 are a's, n..2n-1 are b's
+        leaves = _walk(_refine(np.zeros(2 * n, dtype=np.intp), j, n), j, n, cell)
+    for ok in leaves:
+        pi = ok.argmax(axis=1)
+        if np.bincount(pi, minlength=n).max() == 1 and a.data[tuple(pi[jb].T)].all():
+            yield Permutation(tuple((pi + 1).tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +387,11 @@ class _ScalingSolve:
     def solve(self, b: Tensor, sigma: Permutation, rtol: float) -> DiagonalScaling | None:
         b_vals = b.data[tuple(sigma.zero_based()[self.j].T)]  # sigma maps Z(a) onto Z(b)
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = b_vals / self.a_vals
-            bad = ~np.isfinite(ratio)  # numpy's complex quotient overflows at a subnormal
+            ratio = b_vals / self.a_vals  # not finite or 0 at a non-finite operand, and numpy's
+            bad = ~np.isfinite(ratio) | (ratio == 0)  # complex quotient overflows at a subnormal
             if bad.any():  # divisor; times 2**54 (exact) the divisor is normal
+                if not (np.isfinite(b_vals[bad]).all() and np.isfinite(self.a_vals[bad]).all()):
+                    raise ValueError("a nonzero entry is not finite")
                 ratio[bad] = b_vals[bad] * 2.0**54 / (self.a_vals[bad] * 2.0**54)
         log_mag = self._fit(log_ratio := np.log(np.abs(ratio)))
         if not (np.abs(np.expm1(self._apply(log_mag) - log_ratio)) <= rtol + 1e-12).all():
@@ -369,6 +424,7 @@ def solve_diagonal(
     each connected component, so an empty system gives the identity, unless
     some ``|d|`` then leaves the float range: ``log|d|`` is then centred on 0
     over each component, and ``OverflowError`` raised if that leaves it too.
+    A nonzero that is not finite raises ``ValueError``.
     """
     if a.order < 3:
         raise OrderError("diagonal solve applies to order >= 3")
@@ -410,6 +466,7 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     ``a / a`` is ``1`` only up to about ``6e-17j``.  Subnormal entries are
     decided like normal ones: where numpy's quotient ``b / a`` overflows at a
     subnormal ``a``, the solve divides again with both scaled by ``2**54``.
+    A nonzero that is not finite raises ``ValueError`` at the first solve.
     When the first relabeling that rebuilds ``b`` has no witness with every
     ``|d|`` in the float range (see :func:`solve_diagonal`), ``OverflowError``.
     """
@@ -419,8 +476,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
         raise OrderError("the decision procedure applies to order >= 3")
     diag = (np.arange(a.dim),) * a.order
     a_diag, b_diag = a.data[diag], b.data[diag]
-    with np.errstate(over="ignore"):  # an infinite difference is never within the tolerance
-        allowed = np.abs(b_diag[:, None] - a_diag) <= 2 * rtol * np.abs(b_diag)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite difference bars, NaN does not
+        allowed = ~(np.abs(b_diag[:, None] - a_diag) > 2 * rtol * np.abs(b_diag)[:, None])
     scaling = None  # built at the first candidate: most unrelated pairs yield none
     for pi in pattern_permutations(a, b, allowed=allowed):
         scaling = scaling or _ScalingSolve(a)
@@ -492,97 +549,39 @@ def canonical_pattern_hash(a: Tensor) -> str:
 
     The nonzero tuples form an ordered ``m``-uniform hypergraph on the labels,
     and the canonical labelling is found by individualization-refinement
-    (McKay & Piperno 2014, "Practical graph isomorphism, II"), with the
-    colour refinement of :func:`_refine`.  The search splits the first
+    (McKay & Piperno 2014, "Practical graph isomorphism, II") in :func:`_walk`,
+    with the colour refinement of :func:`_refine`.  The search splits the first
     non-singleton cell by trying each label in it, and refines again.  At a
     leaf every label has its own colour, and the certificate is the sorted
     list of relabeled nonzero tuples.  No step depends on the labels
     themselves, so the smallest certificate over the leaves is the same for
     every relabeling of the pattern, and it spells out one relabeling of it.
     The hash is the sha256 of the order, the dimension and that certificate.
-
-    Children with equal subtrees are skipped: those in the orbit of a child
-    already tried under the automorphisms found that fix the node's
-    individualized labels.  A leaf whose certificate equals the first or the
-    best leaf's gives such an automorphism, and the search then returns to
-    where the two paths part.  Before a second child ``v`` is tried, the swap
-    of ``v`` with the first child ``u`` is checked; when it is an
-    automorphism, ``u`` and ``v`` are twins at every node, which keeps the
-    empty, dense and unit patterns at one leaf and ``n`` refinements.
+    A leaf whose certificate equals the first or the best leaf's gives an
+    automorphism, by which the walk prunes.
     """
     m, n, j = a.order, a.dim, a.nonzeros
-
     own = np.sort(_codes(np.arange(n), j, n))
-    first = best = None  # (certificate, labels in colour order, path)
+
+    def twin(u: int, v: int) -> bool:
+        swap = np.arange(n)
+        swap[[u, v]] = v, u
+        return np.array_equal(np.sort(_codes(swap, j, n)), own)
+
+    def cell(col: np.ndarray) -> tuple:
+        if (sizes := np.bincount(col)).size == n:
+            return None, col
+        return np.flatnonzero(col == np.argmax(sizes > 1)).tolist(), []  # first non-singleton cell
+
     automorphisms: list[np.ndarray] = []
-    twins = list(range(n))  # union-find of labels whose swap is an automorphism
-
-    def find(root: list[int], v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
-        return v
-
-    def orbits(path: list[int]) -> list[int]:
-        """Orbit roots under the twin swaps and the automorphisms found
-        that fix every label of ``path``."""
-        root = [find(twins, v) for v in range(n)]
-        for g in automorphisms:
-            if all(g[v] == v for v in path):
-                for v, w in enumerate(g.tolist()):
-                    root[find(root, v)] = find(root, w)
-        return [find(root, v) for v in range(n)]
-
-    def branches(col: np.ndarray, x: int, path: list[int]) -> Iterator[list[int]]:
-        """The labels of cell ``x`` to individualize below ``path``, each as a
-        list of one: one per orbit of those tried so far."""
-        tried: list[int] = []
-        roots, seen = None, -1
-        for v in np.flatnonzero(col == x).tolist():
-            if tried:
-                if seen != len(automorphisms):
-                    roots, seen = orbits(path), len(automorphisms)
-                if any(find(twins, v) == find(twins, u) or roots[v] == roots[u] for u in tried):
-                    continue
-                # a swap of two labels outside the path fixes the path: when it
-                # is an automorphism, v's subtree is the image of u's
-                u, swap = tried[0], np.arange(n)
-                swap[[u, v]] = v, u
-                if np.array_equal(np.sort(_codes(swap, j, n)), own):
-                    twins[find(twins, v)] = find(twins, u)
-                    continue
-            tried.append(v)
-            yield [v]
-
-    def leaf(col: np.ndarray, path: list[int]) -> int | None:
-        """Record a leaf; after an automorphism, the depth to go back to."""
-        nonlocal first, best
-        found = (np.sort(_codes(col, j, n)).astype(">u8").tobytes(), np.argsort(col), path)
-        if first is None:
-            first = best = found
-            return None
-        for known in (first, best):
-            if found[0] == known[0]:
-                g = np.empty(n, dtype=np.intp)
-                g[known[1]] = found[1]
-                automorphisms.append(g)
-                return next(d for d, (u, v) in enumerate(zip(path, known[2])) if u != v)
-        if found[0] < best[0]:
+    walk = _walk(_refine(np.zeros(n, dtype=np.intp), j, n), j, n, cell, automorphisms, twin)
+    leaves = ((np.sort(_codes(col, j, n)).astype(">u8").tobytes(), col) for col in walk)
+    first = best = next(leaves)  # (certificate, discrete colouring)
+    for found in leaves:
+        if known := next((k for k in (first, best) if k[0] == found[0]), None):
+            automorphisms.append(np.argsort(found[1])[known[1]])  # colour by colour, known to found
+        elif found[0] < best[0]:
             best = found
-        return None
-
-    # one frame per depth: (path, the colourings left to walk there); the root's comes first
-    stack = [([], iter([([], _refine(np.zeros(n, dtype=np.intp), j, n))]))]
-    while stack:
-        path, todo = stack[-1]
-        if (node := next(todo, None)) is None:
-            stack.pop()
-            continue
-        path, col = path + node[0], node[1]
-        if (sizes := np.bincount(col)).size < n:
-            x = int(np.flatnonzero(sizes > 1)[0])
-            stack.append((path, _children(col, x, branches(col, x, path), j, n)))
-        elif (back := leaf(col, path)) is not None:
-            del stack[back + 2 :]  # the node at depth back walks its children in stack[back + 1]
     return hashlib.sha256(np.array([m, n], dtype=">u8").tobytes() + best[0]).hexdigest()
 
 

@@ -332,3 +332,29 @@ def witness_in_range(rng, m, n, magnitudes):
     moduli = np.exp(rng.uniform(lo, hi, size=n))
     phases = np.exp(2j * np.pi * rng.uniform(size=n))
     return StructuredWitness(sigma, DiagonalScaling(moduli * phases), m)
+
+
+def sts_pg(k):
+    """The Steiner triple system of PG(k, 2) as a symmetric 0/1 order-3 tensor
+    on the ``n = 2**(k+1) - 1`` nonzero vectors of F_2^(k+1), vector ``x``
+    (read as a binary number) at label ``x - 1``: its lines are the triples
+    ``{x, y, x xor y}``, each written in all six orders."""
+    n = 2 ** (k + 1) - 1
+    x, y = np.array([(x, y) for x in range(1, n + 1) for y in range(1, n + 1) if x != y]).T
+    t = np.zeros((n,) * 3)
+    t[x - 1, y - 1, (x ^ y) - 1] = 1
+    return t
+
+
+def sts_ag(k):
+    """The Steiner triple system of AG(k, 3) as a symmetric 0/1 order-3 tensor
+    on the ``n = 3**k`` vectors of F_3^k, vector ``x`` at the label whose
+    base-3 digits it holds: its lines are the triples ``{x, y, -x-y}``, each
+    written in all six orders."""
+    n = 3**k
+    digits = np.array(list(itertools.product(range(3), repeat=k))).reshape(n, k)
+    x, y = np.array([(x, y) for x in range(n) for y in range(n) if x != y]).T
+    z = (-digits[x] - digits[y]) % 3 @ 3 ** np.arange(k - 1, -1, -1)
+    t = np.zeros((n,) * 3)
+    t[x, y, z] = 1
+    return t

@@ -29,7 +29,7 @@ from tensim.cli import build_parser, main
 from tensim.generate import random_structured_witness, random_tensor
 from tensim.io import tensor_from_dict, write_tensor
 
-from reference import chain_pair, cycles_pair, numpy_pair, witness_in_range
+from reference import chain_pair, cycles_pair, numpy_pair, sts_pg, witness_in_range
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -373,6 +373,27 @@ class TestDecideGolden:
         code, out, _ = run_cli(["decide", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
         assert code == (1 if name == "dense_not" else 0)
         assert out == (GOLDEN_DIR / f"decide_{name}.json").read_text()
+
+
+class TestInvariantsGolden:
+    """``tensim invariants`` stdout, byte for byte: the ``a`` files of the
+    ``dense_fwd`` and ``sparse_sym`` decide goldens, and the Steiner triple
+    system of PG(3, 2), whose 15 labels colour refinement leaves in one cell."""
+
+    @pytest.mark.parametrize(
+        "name, fmt",
+        [("dense_fwd", "dense"), ("sparse_sym", "sparse"), ("sts_pg3", "sparse")],
+    )
+    def test_byte_exact_output(self, tmp_path, name, fmt):
+        a = {
+            "dense_fwd": lambda: numpy_pair(0, 3, 5, 1.0)[0],
+            "sparse_sym": lambda: cycles_pair(0, 4)[0],
+            "sts_pg3": lambda: sts_pg(3),
+        }[name]()
+        write_tensor(Tensor(a), tmp_path / "a.json", format=fmt)
+        code, out, _ = run_cli(["invariants", str(tmp_path / "a.json")])
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"invariants_{name}.json").read_text()
 
 
 class TestInvariantsCommand:

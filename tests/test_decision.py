@@ -47,6 +47,8 @@ from reference import (
     oracle_similar,
     reference_echelon,
     reference_scaling_lattice,
+    sts_ag,
+    sts_pg,
 )
 
 
@@ -316,10 +318,11 @@ class TestPatternPermutations:
         ]
         assert list(pattern_permutations(z, z, allowed=collide)) == []
 
-    @pytest.mark.parametrize("kind, n", [("nonzero", 6), ("cycles", 6), ("k4", 8)])
+    @pytest.mark.parametrize("kind, n", [("nonzero", 6), ("cycles", 6), ("k4", 8), ("pg", 7)])
     def test_symmetric_supports_match_brute_force(self, kind, n):
-        # refinement cannot tell the blocks apart, so the search branches
-        za = symmetric_support(kind, 2)
+        # refinement cannot tell the blocks (or the points of the Fano plane)
+        # apart, so the search branches
+        za = Tensor(sts_pg(2)) if kind == "pg" else symmetric_support(kind, 2)
         rng = np.random.default_rng(n)
         perm = rng.permutation(n)
         if kind == "cycles":  # one 6-cycle: the stable colouring of two 3-cycles
@@ -985,6 +988,32 @@ class TestDecideSimilar:
             w = decide_similar(a, b)
             assert w is not None and w.sigma == want and np.allclose(w.d.values, 1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 1.0)])
+    def test_non_finite_nonzero_is_an_error(self, bad):
+        # Tensor accepts a non-finite entry, and every relabeling then failed
+        # the solve: such a tensor was decided not similar to itself
+        t = sparse(3, 3, {(1, 2, 2): 1, (2, 3, 3): bad})
+        with pytest.raises(ValueError, match="not finite"):
+            decide_similar(t, t)
+        # patterns that correspond under no relabeling are still not similar
+        assert decide_similar(t, sparse(3, 3, {(1, 2, 2): 1, (1, 3, 3): 1})) is None
+        rng = np.random.default_rng(26)
+        for trial in range(12):
+            data = random_tensor(rng, 3, 4, density=0.4).data.copy()
+            idx = (trial % 4,) * 3 if trial < 4 else tuple(rng.integers(4, size=3))  # diagonal first
+            finite = data.copy()
+            finite[idx] = 1.0
+            data[idx] = bad
+            a, b = Tensor(finite), Tensor(data)
+            for x, y in ((b, b), (a, b)):
+                with pytest.raises(ValueError, match="not finite"):
+                    decide_similar(x, y)
+                with pytest.raises(ValueError, match="not finite"):
+                    solve_diagonal(x, y, Permutation.identity(4))
+            if len(set(idx)) > 1:  # off the diagonal, where no value bars a relabeling
+                with pytest.raises(ValueError, match="not finite"):
+                    decide_similar(b, a)
+
     def test_order_and_shape_errors(self):
         with pytest.raises(OrderError):
             decide_similar(unit_tensor(2, 2), unit_tensor(2, 2))
@@ -1230,11 +1259,8 @@ class TestCanonicalPatternHash:
     def test_separates_what_colour_refinement_cannot(self):
         # every label heads one (i, j, j) entry and ends one: colour refinement
         # leaves all six labels in one cell for both patterns
-        two_triangles = sparse(3, 6, {(i + 1, j + 1, j + 1): 1 for i, j in
-                                      [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]})
-        hexagon = sparse(3, 6, {(i + 1, (i + 1) % 6 + 1, (i + 1) % 6 + 1): 1 for i in range(6)})
-        assert canonical_pattern_hash(two_triangles) != canonical_pattern_hash(hexagon)
-        assert hashes_agree_with_oracle(two_triangles, hexagon)
+        assert canonical_pattern_hash(two_triangles()) != canonical_pattern_hash(hexagon())
+        assert hashes_agree_with_oracle(two_triangles(), hexagon())
 
     def test_cubic_graphs_need_the_best_leaf(self):
         # refinement leaves every label of a 3-regular graph in one cell, and
@@ -1269,6 +1295,120 @@ class TestCanonicalPatternHash:
         assert canonical_pattern_hash(Tensor(np.zeros((2,) * 3))) != canonical_pattern_hash(
             Tensor(np.zeros(8))
         )
+
+
+def two_triangles():
+    return sparse(3, 6, {(i + 1, j + 1, j + 1): 1 for i, j in
+                         [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]})
+
+
+def hexagon():
+    return sparse(3, 6, {(i + 1, (i + 1) % 6 + 1, (i + 1) % 6 + 1): 1 for i in range(6)})
+
+
+#: Frozen digests of ``canonical_pattern_hash``, each with the pattern it is
+#: taken of.
+HASH_GOLDENS = {
+    "empty-3-5": (
+        lambda: Tensor(np.zeros((5,) * 3)),
+        "4ad0321c6c547cf39072a64f9a4cf6f549b342bb8b692aeb304227544b84bb92",
+    ),
+    "dense-3-5": (
+        lambda: Tensor(np.ones((5,) * 3)),
+        "19884f5f487a973810914780cc79990277dd5e8ca097b98fdce7d2d26e547a6f",
+    ),
+    "unit-3-5": (
+        lambda: unit_pattern(3, 5),
+        "987395ce73c031e186b9c20ac334eceeb33930a861ff99c74c265506d2cb3ca2",
+    ),
+    "eye-50": (
+        lambda: Tensor(np.eye(50)),
+        "a1f0db5519e058f7f8672a745e81132bc89352a21cb5508740ab7c80fa8609af",
+    ),
+    "cubic-10": (
+        lambda: cubic_pattern(np.random.default_rng(24), 10),
+        "4e526032cf8c4d0fe3cf2557f981775810b7638ccf3375e7d626af01d589e334",
+    ),
+    "two-triangles": (
+        two_triangles,
+        "d6ee8d07629b4e0b0a347780c0737cced1877cff7db61865f215f18fac951f73",
+    ),
+    "hexagon": (
+        hexagon,
+        "98c0c8ce3246896d5a13284aa8de74c4ac03fa551a2175f549f1fdc10ca6d2f1",
+    ),
+    "cycles-4": (
+        lambda: Tensor(cycles_pair(0, 4)[0]),
+        "9757e72df25ec2dcb85b47fef7566575ba23597fc96a4670c9681c81bab7363b",
+    ),
+    "sts-pg-2": (
+        lambda: Tensor(sts_pg(2)),
+        "a78929c01899c2946ddf4778ad462e5676e7e34bfab53af671485caabeab43b4",
+    ),
+    "sts-ag-2": (
+        lambda: Tensor(sts_ag(2)),
+        "37eeac984a65efac86a874eec08dee339999427d32fe0dcb927744c3956036b1",
+    ),
+    "sts-pg-3": (
+        lambda: Tensor(sts_pg(3)),
+        "f18a49be86f1d11f31b9f5143000e1b3cf3cebe140df11fb1967ffd430e1a593",
+    ),
+    "sts-ag-3": (
+        lambda: Tensor(sts_ag(3)),
+        "d3bb68c1f5f9ad3c08c3bf28c227f5ce87e303513b09e34eea5cae3f642249ce",
+    ),
+}
+
+
+class TestHashGoldens:
+    @pytest.mark.parametrize("name", list(HASH_GOLDENS))
+    def test_frozen_digest(self, name):
+        make, digest = HASH_GOLDENS[name]
+        assert canonical_pattern_hash(make()) == digest
+
+
+#: The Steiner triple systems and the orders of their automorphism groups:
+#: PGL(3, 2), AGL(2, 3), PGL(4, 2) and AGL(3, 3).
+STEINER = [("pg", 2, 168), ("ag", 2, 432), ("pg", 3, 20160), ("ag", 3, 303264)]
+
+
+def steiner(kind, k):
+    return Tensor(sts_pg(k) if kind == "pg" else sts_ag(k))
+
+
+class TestSteinerTripleSystems:
+    """Colour refinement leaves every point of a Steiner triple system in one
+    cell, and the pattern has a large automorphism group: the hash must prune
+    by orbits and jump back, and a decide that tells the pattern's
+    relabelings apart by value alone walks every one of them."""
+
+    @pytest.mark.parametrize("kind, k, order", STEINER)
+    def test_hash_equal_on_relabeled_copies(self, kind, k, order):
+        a = steiner(kind, k)
+        rng = np.random.default_rng(k)
+        for _ in range(2):
+            assert canonical_pattern_hash(relabeled(a, rng.permutation(a.dim))) == HASH_GOLDENS[
+                f"sts-{kind}-{k}"
+            ][1]
+
+    @pytest.mark.parametrize("kind, k, order", STEINER)
+    def test_forward_pairs_are_similar(self, kind, k, order):
+        a = steiner(kind, k)
+        b = structured_transform(a, random_structured_witness(np.random.default_rng(k), 3, a.dim))
+        w = decide_similar(a, b)
+        assert w is not None
+        assert max_abs_diff(structured_transform(a, w), b) <= 1e-8 * max(1.0, np.abs(b.data).max())
+
+    @pytest.mark.parametrize("kind, k, order", STEINER[:2])
+    def test_one_entry_set_to_two_is_not_similar(self, kind, k, order):
+        # the six orders of one line hold exponent rows that sum to zero, so
+        # the product of their values is invariant: 1 in a, 2 in b
+        a = steiner(kind, k)
+        data = relabeled(a, np.random.default_rng(k).permutation(a.dim)).data.copy()
+        data[tuple(np.argwhere(data)[0])] = 2
+        b = Tensor(data)
+        assert sum(1 for _ in pattern_permutations(a, b)) == order  # every automorphism
+        assert decide_similar(a, b) is None
 
 
 class TestDeferredScalingSolve:
