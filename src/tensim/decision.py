@@ -11,8 +11,9 @@ multiplicative system on the diagonal entries is solvable:
 With ``x = log d`` each nonzero is one row of ``E x = log(b[t] / a[j])``
 modulo ``2*pi*i``.  The integer exponent matrix ``E`` has rows summing to
 zero (a global scalar is a gauge freedom) and depends only on the support
-of ``A``, not on ``sigma``.  So :func:`decide_similar` builds it once and
-then solves each candidate ``sigma`` with a few matrix-vector products:
+of ``A``, not on ``sigma``.  So it is built once per support (per shape and
+process when no entry is zero), and each candidate ``sigma`` is solved
+with a few matrix-vector products:
 ``log|d|`` by real least squares, rejecting ``sigma`` when some modulus
 ``|a| exp(E log|d|)`` misses ``|b|``, then the phases by interpolating them
 through a basis of the integer lattice of the rows of ``E``, each basis row
@@ -33,8 +34,9 @@ One candidate per label is checked with one gather.  Where some label is left
 more than one, the search individualizes one label of ``B`` and each of its
 candidates in turn and refines again (individualization-refinement, by the
 one walk that the canonical hash takes too, not by recursion).  Dense
-tensors with distinct diagonals so cost one gather, one build, one solve, no
-refinement, and value-free disjoint copies of one block a few refinements
+tensors with distinct diagonals so cost one gather, one solve and one build
+per shape per process, no refinement, and value-free disjoint copies of one
+block a few refinements
 (7 for 7 copies of one nonzero at ``n = 21``).  Two classes still cost up to
 ``n!``: dense patterns with repeated diagonal values, where every relabeling
 matches the pattern, and supports whose many relabelings all reach the
@@ -49,7 +51,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import suppress
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -61,6 +63,10 @@ from .similarity import DiagonalScaling, Permutation, StructuredWitness
 #: Largest relative error of a rebuilt nonzero of ``B`` that the decision
 #: accepts.
 DECISION_TOL = 1e-8
+
+#: Shapes whose support with no zero entry keeps its scaling solve, least recently used dropped first.
+_FULL_SHAPES = 8
+_full_supports = lru_cache(_FULL_SHAPES)(lambda shape: [])  # per shape one slot (_ScalingSolve.of)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +301,8 @@ def _join(basis: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, dict
 
 
 class _ScalingSolve:
-    """The part of the scaling solve that depends only on the support of ``A``.
+    """The value-free part of the scaling solve: a function of the support of
+    ``A`` alone, shared by the tensors of a shape with no zero entry (:meth:`of`).
 
     Row ``i`` of ``E``, the net exponent vector of ``A``'s ``i``-th nonzero
     ``j`` (``1 - m`` at ``j_1``, one more at each of ``j_2, ..., j_m``), is held
@@ -308,8 +315,8 @@ class _ScalingSolve:
     pivot columns ``P`` are the labels solved for, the others the gauge
     (``d = 1``).  The fits use ``E^T E`` on ``P``, summed over the label pairs
     of ``F`` times the counts, in float64 exactly (< ``2^53``).  :meth:`solve`
-    fits ``log|d|`` first and rejects the candidate when some
-    ``|a| exp(E log|d|)`` misses ``|b|`` by more than ``(rtol + 1e-12) |b|``:
+    gathers the values, fits ``log|d|`` first and rejects the candidate when
+    some ``|a| exp(E log|d|)`` misses ``|b|`` by more than ``(rtol + 1e-12) |b|``:
     as ``||r| - |b|| <= |r - b|``, the rebuild would reject it too, at every
     ``rtol >= 0``, while rounding stays within ``1e-12`` (measured below
     ``2 m ulp max|log|d||``, so for ``m max|log|d||`` up to about ``10^3``).
@@ -323,7 +330,6 @@ class _ScalingSolve:
     def __init__(self, a: Tensor):
         m, n = a.order, a.dim
         self.n, self.j = n, a.nonzeros
-        self.a_vals = a.data[tuple(self.j.T)]
         self.w = w = np.array([1 - m] + [1] * (m - 1))
         # a row is fixed by its head and the multiset of its tail labels; its size
         # (tail labels off the head) comes first: small rows keep G near one per pivot
@@ -352,6 +358,13 @@ class _ScalingSolve:
         gram = np.bincount(pairs, (count[:, None, None] * np.outer(w, w.astype(float))).ravel(), n * n)
         self.gram_inv = np.linalg.inv(gram.reshape(n, n)[self.p][:, self.p])
 
+    @classmethod
+    def of(cls, a: Tensor) -> _ScalingSolve:
+        """``cls(a)``, built once per shape and process for a support with no zero entry."""
+        box = _full_supports(a.shape) if len(a.nonzeros) == a.data.size else []
+        box[:] = box or [cls(a)]  # the first tensor of the shape builds it; the solve takes the values
+        return box[0]
+
     def _row(self, i: int) -> dict[int, int]:
         """Row ``i`` of ``F`` as a sparse integer row (column -> nonzero)."""
         head, *tail = self.f[i].tolist()  # -(m - 1) at the head, one more per tail slot
@@ -373,10 +386,6 @@ class _ScalingSolve:
 
     g_rows, interp = (property(lambda self, i=i: self._phase[i]) for i in range(2))
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """``E @ x``."""
-        return x[self.j] @ self.w
-
     def _fit(self, v: np.ndarray) -> np.ndarray:
         """Least-squares ``x`` with ``E x = v``, zero off the pivot labels."""
         x = np.zeros(self.n)
@@ -384,25 +393,27 @@ class _ScalingSolve:
         x[self.p] = self.gram_inv @ et_v[self.p]
         return x
 
-    def solve(self, b: Tensor, sigma: Permutation, rtol: float) -> DiagonalScaling | None:
-        b_vals = b.data[tuple(sigma.zero_based()[self.j].T)]  # sigma maps Z(a) onto Z(b)
+    def solve(self, a: Tensor, b: Tensor, sigma: Permutation, rtol: float) -> DiagonalScaling | None:
+        a_vals, b_vals = a.data[tuple(self.j.T)], b.data[tuple(sigma.zero_based()[self.j].T)]
+        if len(b.nonzeros) != len(self.j) or not b_vals.all():
+            return None  # the zero patterns do not correspond under sigma
         with np.errstate(over="ignore", invalid="ignore"):
-            ratio = b_vals / self.a_vals  # not finite or 0 at a non-finite operand, and numpy's
+            ratio = b_vals / a_vals  # not finite or 0 at a non-finite operand, and numpy's
             bad = ~np.isfinite(ratio) | (ratio == 0)  # complex quotient overflows at a subnormal
             if bad.any():  # divisor; times 2**54 (exact) the divisor is normal
-                if not (np.isfinite(b_vals[bad]).all() and np.isfinite(self.a_vals[bad]).all()):
+                if not (np.isfinite(b_vals[bad]).all() and np.isfinite(a_vals[bad]).all()):
                     raise ValueError("a nonzero entry is not finite")
-                ratio[bad] = b_vals[bad] * 2.0**54 / (self.a_vals[bad] * 2.0**54)
+                ratio[bad] = b_vals[bad] * 2.0**54 / (a_vals[bad] * 2.0**54)
         log_mag = self._fit(log_ratio := np.log(np.abs(ratio)))
-        if not (np.abs(np.expm1(self._apply(log_mag) - log_ratio)) <= rtol + 1e-12).all():
+        if not (np.abs(np.expm1(log_mag[self.j] @ self.w - log_ratio)) <= rtol + 1e-12).all():
             return None  # some |a| exp(E log|d|) misses |b|: so would the rebuild
         turns = np.angle(ratio) / (2.0 * np.pi)
         base = np.zeros(self.n)
         base[self.p] = self.interp @ turns[self.g_rows]
-        wraps = np.rint(self._apply(base) - turns)
+        wraps = np.rint(base[self.j] @ self.w - turns)
         x = log_mag + 2j * np.pi * self._fit(turns + wraps)
         for _ in range(2):  # the second time with log|d| centred on 0 over each component
-            if not np.all(np.abs(self.a_vals * np.exp(self._apply(x)) - b_vals) <= rtol * np.abs(b_vals)):
+            if not np.all(np.abs(a_vals * np.exp(x[self.j] @ self.w) - b_vals) <= rtol * np.abs(b_vals)):
                 return None
             with np.errstate(over="ignore", invalid="ignore"), suppress(WitnessError):
                 return DiagonalScaling(np.exp(x))  # unless the gauge put some |d| past the float range
@@ -424,7 +435,8 @@ def solve_diagonal(
     each connected component, so an empty system gives the identity, unless
     some ``|d|`` then leaves the float range: ``log|d|`` is then centred on 0
     over each component, and ``OverflowError`` raised if that leaves it too.
-    A nonzero that is not finite raises ``ValueError``.
+    A nonzero that is not finite raises ``ValueError``.  The solve's value-free
+    part is kept per shape as in :func:`decide_similar`.
     """
     if a.order < 3:
         raise OrderError("diagonal solve applies to order >= 3")
@@ -432,10 +444,7 @@ def solve_diagonal(
         raise ShapeError("tensors must share order and dimension")
     if sigma.n != a.dim:
         raise ShapeError("permutation size does not match tensor dimension")
-    j = a.nonzeros
-    if nnz(b) != len(j) or not b.data[tuple(sigma.zero_based()[j].T)].all():
-        return None  # the zero patterns do not correspond under sigma
-    return _ScalingSolve(a).solve(b, sigma, rtol)
+    return _ScalingSolve.of(a).solve(a, b, sigma, rtol)
 
 
 def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> StructuredWitness | None:
@@ -459,7 +468,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
     smaller ``rtol`` the rounding can exceed that margin and the mask may
     drop a permutation the rebuild would accept.  The masked permutations
     are skipped, and the solve decides every other one, magnitudes first:
-    the phase lattice is built at the first candidate whose magnitudes fit.
+    the phase lattice is built at the first fit of the magnitudes, once per
+    support of ``a`` (per shape and process when no entry is zero).
 
     At ``rtol = 0`` only an exact rebuild is accepted: a real self-pair
     passes, and a complex one in general does not, as numpy's complex
@@ -480,8 +490,8 @@ def decide_similar(a: Tensor, b: Tensor, rtol: float = DECISION_TOL) -> Structur
         allowed = ~(np.abs(b_diag[:, None] - a_diag) > 2 * rtol * np.abs(b_diag)[:, None])
     scaling = None  # built at the first candidate: most unrelated pairs yield none
     for pi in pattern_permutations(a, b, allowed=allowed):
-        scaling = scaling or _ScalingSolve(a)
-        d = scaling.solve(b, sigma := pi.inverse(), rtol)
+        scaling = scaling or _ScalingSolve.of(a)
+        d = scaling.solve(a, b, sigma := pi.inverse(), rtol)
         if d is not None:
             return StructuredWitness(sigma, d, a.order)
     return None

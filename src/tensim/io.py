@@ -15,7 +15,8 @@ tensor payloads; structured witness files are
 
 Every document and file is the text of ``json.dumps(doc, indent=2,
 allow_nan=False)`` and a newline, so NaN and the infinities raise ``ValueError``
-instead of being written.  Large nests of numbers take the C encoder and one join.
+instead of being written.  Large nests of numbers, and lists of objects holding numbers
+such as sparse entries, take the C encoder and one join.
 """
 
 from __future__ import annotations
@@ -58,6 +59,8 @@ def _split(obj, nl: str) -> str | None:
             items = [json.dumps(k) + ": " + (text or _PRETTY.encode(v).replace("\n", inner))
                      for (k, v), text in zip(obj.items(), texts)]
             return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if type(obj) is list and obj and type(obj[0]) is dict:
+        return _records(obj, nl)
     shape, x = [], obj
     while isinstance(x, list) and x:
         shape, x = shape + [len(x)], x[0]
@@ -90,6 +93,37 @@ def _split(obj, nl: str) -> str | None:
         return text
     # NaN or an infinity: json.dumps raises ValueError, with _PRETTY's message among pairs
     return None if pairs else json.JSONEncoder(allow_nan=False).encode(leaves)
+
+
+def _records(obj: list, nl: str) -> str | None:
+    """The text of a list of objects with one key order whose values are numbers or lists of
+    numbers, such as a sparse tensor's entries, with ``nl`` for each newline; else ``None``.
+    Each number becomes text once, and one %-format lays the texts into one template per
+    entry shape (the lengths of its lists)."""
+    keys = list(obj[0])
+    if not all(type(k) is str for k in keys) or not all(type(e) is dict and list(e) == keys for e in obj):
+        return None
+    values = [v for e in obj for v in e.values()]
+    sizes = [len(v) if type(v) is list else -1 for v in values]  # -1: a bare value
+    leaves = list(chain.from_iterable(v if k >= 0 else (v,) for v, k in zip(values, sizes)))
+    if not leaves or not set(map(type, leaves)) <= _NUMBERS:
+        return None
+    texts = _COMPACT.encode(leaves)
+    if "n" in texts or "N" in texts:  # NaN or an infinity: json.dumps raises ValueError
+        return None
+    pad = [nl + "  " * level for level in range(4)]
+    heads = [json.dumps(k).replace("%", "%%") + ": " for k in keys]
+    forms: dict[tuple, str] = {}  # entry shape -> template
+
+    def value(k: int) -> str:  # the template of a bare value (k = -1) or a list of k numbers
+        return "%s" if k < 0 else "[" + pad[3] + ("," + pad[3]).join(["%s"] * k) + pad[2] + "]" if k else "[]"
+
+    def form(shape: tuple) -> str:
+        items = ("," + pad[2]).join(h + value(k) for h, k in zip(heads, shape))
+        return forms.setdefault(shape, "{" + pad[2] + items + pad[1] + "}")
+
+    body = ("," + pad[1]).join([forms.get(shape) or form(shape) for shape in zip(*[iter(sizes)] * len(keys))])
+    return "[" + pad[1] + body % tuple(texts[1:-1].split("|")) + pad[0] + "]"
 
 
 def _flatten(nest, shape) -> tuple[list, int]:

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -861,13 +862,14 @@ class TestMagnitudesFirst:
         b_vals = b.data[tuple(sigma.zero_based()[s.j].T)]
         if b_vals.size != np.count_nonzero(b.data) or not b_vals.all():
             return None
-        ratio = b_vals / s.a_vals
+        a_vals = a.data[tuple(s.j.T)]
+        ratio = b_vals / a_vals
         turns = np.angle(ratio) / (2.0 * np.pi)
         base = np.zeros(s.n)
         base[s.p] = interp @ turns[g_rows]
-        wraps = np.rint(s._apply(base) - turns)
+        wraps = np.rint(base[s.j] @ s.w - turns)
         x = s._fit(np.log(np.abs(ratio))) + 2j * np.pi * s._fit(turns + wraps)
-        if np.all(np.abs(s.a_vals * np.exp(s._apply(x)) - b_vals) <= rtol * np.abs(b_vals)):
+        if np.all(np.abs(a_vals * np.exp(x[s.j] @ s.w) - b_vals) <= rtol * np.abs(b_vals)):
             return np.exp(x)
         return None
 
@@ -875,7 +877,7 @@ class TestMagnitudesFirst:
         """The solve's answer at each tolerance, checked against the eager one."""
         answers = []
         for rtol in (0.0, 1e-14, 1e-12, 1e-8, 1e-4):
-            got = decision._ScalingSolve(a).solve(b, sigma, rtol)
+            got = decision._ScalingSolve(a).solve(a, b, sigma, rtol)
             want = self.eager_solve(a, b, sigma, rtol)
             assert (got is None) == (want is None)
             if got is not None:
@@ -1478,3 +1480,152 @@ class TestOneNonzeroScan:
         a = random_tensor(np.random.default_rng(22), 3, 5, density=0.3)
         similarity_invariants(a)
         assert len(scans) == 1
+
+
+def answer(w):
+    """A decision as comparable bytes: ``None``, or sigma and the bytes of d."""
+    return None if w is None else (w.sigma.images, w.d.values.tobytes())
+
+
+def state(v):
+    """``v`` with every array, also inside tuples, lists and dicts, as its bytes."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str, v.shape, v.tobytes()
+    if isinstance(v, (tuple, list)):
+        return tuple(map(state, v))
+    if isinstance(v, dict):
+        return tuple((k, state(x)) for k, x in v.items())
+    return v
+
+
+class TestFullSupportCache:
+    """A support with no zero entry depends on the shape alone, so its scaling
+    solve is built once per shape and process and shared by every tensor of
+    that shape; the values stay in the solve."""
+
+    @staticmethod
+    def dense_cases():
+        """Per shape, m = 3..5 and n = 3..8: a complex and a real forward pair
+        ``(a, b)``, each with ``bp``, ``b`` with ``b[n-1, 0, ..., 0]`` times 1.5."""
+        for m in range(3, 6):
+            for n in range(3, 9):
+                seed = 10 * m + n
+                for a, b in (seeded_forward_pair(seed, m, n, 1.0), map(Tensor, numpy_pair(seed, m, n, 1.0))):
+                    yield a, b, perturbed(b, (n - 1,) + (0,) * (m - 1), 1.5)
+
+    @classmethod
+    def pairs(cls):
+        """The pairs of :meth:`dense_cases`: same-shape tensors with other
+        values follow one another, the forward pairs both ways."""
+        for a, b, bp in cls.dense_cases():
+            yield from [(a, b), (a, bp), (b, a)]
+
+    def test_warm_answers_equal_cold_ones(self):
+        pairs = list(self.pairs())
+        cold = []
+        for a, b in pairs:
+            decision._full_supports.cache_clear()
+            cold.append(answer(decide_similar(a, b)))
+        decision._full_supports.cache_clear()
+        warm = [answer(decide_similar(a, b)) for a, b in pairs]
+        assert warm == cold
+        assert [w is not None for w in warm] == [True, False, True] * 36
+        info = decision._full_supports.cache_info()
+        assert (info.misses, info.hits) == (18, len(pairs) - 18)
+
+    def test_entry_holds_no_value(self):
+        # the state built from one tensor equals, byte for byte, the state
+        # built from another tensor of the shape
+        a, b = seeded_forward_pair(0, 4, 5, 1.0)
+        states = []
+        for t in (a, b, Tensor(np.ones((5,) * 4))):
+            s = decision._ScalingSolve(t)
+            s.interp  # closes the lattice
+            states.append(state(vars(s)))
+        assert states[0] == states[1] == states[2]
+
+    def test_one_zero_keeps_the_support_out(self):
+        a, _ = seeded_forward_pair(1, 3, 5, 1.0)
+        data = a.data.copy()
+        data[1, 2, 3] = 0
+        a = Tensor(data)
+        b = clean(structured_transform(a, random_structured_witness(np.random.default_rng(1), 3, 5)))
+        w = decide_similar(a, b)
+        assert w is not None
+        assert solve_diagonal(a, b, w.sigma) is not None
+        info = decision._full_supports.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_the_bound_holds(self):
+        bound = decision._FULL_SHAPES
+        for n in range(2, bound + 5):
+            a, b = seeded_forward_pair(n, 3, n, 1.0)
+            assert decide_similar(a, b) is not None
+        info = decision._full_supports.cache_info()
+        assert (info.maxsize, info.currsize, info.misses) == (bound, bound, bound + 3)
+        a, b = seeded_forward_pair(2, 3, 2, 1.0)  # the least recently used shape was dropped
+        assert decide_similar(a, b) is not None
+        assert decision._full_supports.cache_info().misses == bound + 4
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_solve_diagonal_agrees_with_decide(self, warm):
+        for a, b, bp in self.dense_cases():
+            if not warm:
+                decision._full_supports.cache_clear()
+            w = decide_similar(a, b)
+            assert solve_diagonal(a, b, w.sigma).values.tobytes() == w.d.values.tobytes()
+            assert decide_similar(a, bp) is None
+            assert solve_diagonal(a, bp, w.sigma) is None
+
+    def test_threads_share_an_entry(self):
+        # threads decide pairs of one dense shape from an empty cache, so they
+        # may build the entry and close its lattice at once (the second pass
+        # of the join adds no row to a support with no zero entry, whose first
+        # pass leaves every pivot +-1); every answer is the one a single
+        # thread gives
+        pairs = [seeded_forward_pair(seed, 3, 6, 1.0) for seed in range(8)]
+        want = [answer(decide_similar(a, b)) for a, b in pairs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                decision._full_supports.cache_clear()
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(decide_similar, a, b) for a, b in pairs]
+                    got = [answer(f.result(timeout=60)) for f in futures]
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestOracleFreeRelations:
+    """Relations the structure theorem gives at every size, with no oracle:
+    ``decide(A, B)`` and ``decide(B, A)`` agree, and the verdict stays when
+    ``B`` is replaced by a random similar copy.  Dense pairs run warm, on the
+    scaling solve kept for their shape."""
+
+    @staticmethod
+    def assert_relations(a, b, rng):
+        c = clean(structured_transform(b, random_structured_witness(rng, a.order, a.dim)))
+        verdicts = [decide_similar(x, y) is not None for x, y in ((a, b), (b, a), (a, c), (c, a))]
+        assert len(set(verdicts)) == 1, verdicts
+        return verdicts[0]
+
+    @pytest.mark.parametrize("m, n", [(3, 6), (3, 7), (3, 8), (4, 5), (4, 6)])
+    def test_dense_pairs(self, m, n):
+        # 4 decides per pair, 50 forward and 50 perturbed pairs per shape
+        for seed in range(50):
+            rng = np.random.default_rng([m, n, seed])
+            a = random_tensor(rng, m, n)
+            b = clean(structured_transform(a, random_structured_witness(rng, m, n)))
+            assert self.assert_relations(a, b, rng)
+            self.assert_relations(a, perturbed(b, tuple(rng.integers(n, size=m)), 1.5), rng)
+        assert decision._full_supports.cache_info().misses == 1
+
+    @pytest.mark.parametrize("n, density", [(40, 0.05), (50, 0.03), (60, 0.02)])
+    def test_sparse_forward_pairs(self, n, density):
+        for seed in range(8):
+            rng = np.random.default_rng([3, n, seed])
+            a = random_tensor(rng, 3, n, density=density)
+            b = clean(structured_transform(a, random_structured_witness(rng, 3, n)))
+            assert self.assert_relations(a, b, rng)

@@ -410,6 +410,71 @@ class TestEncoder:
         assert not [obj for obj in calls if isinstance(obj, (list, dict))]
 
 
+@st.composite
+def record_lists(draw):
+    """Lists of objects with one key order, such as a sparse tensor's entries:
+    each value a number, a list of numbers (empty, a pair, or longer) or,
+    now and then, something else."""
+    keys = draw(st.lists(strings, min_size=1, max_size=3, unique=True))
+    values = st.one_of(numbers, st.lists(numbers, max_size=4), st.lists(numbers, min_size=2, max_size=2))
+    if draw(st.booleans()):
+        values = st.one_of(values, strings, st.booleans(), st.none(), st.lists(st.lists(numbers)))
+    return draw(st.lists(st.fixed_dictionaries({k: values for k in keys}), min_size=1, max_size=40))
+
+
+class TestSparseEncoder:
+    """The entries of a sparse tensor document take one bulk layout, with the
+    text of ``json.dumps(doc, indent=2)``."""
+
+    @pytest.mark.parametrize(
+        "order, dim, density, kind",
+        [(3, 6, 0.3, "complex"), (3, 6, 0.3, "real"), (3, 6, 0.3, "mixed"), (4, 4, 0.0, "complex"),
+         (1, 40, 0.5, "mixed"), (6, 3, 0.4, "mixed"), (3, 40, 0.05, "mixed")],
+    )
+    def test_tensor_documents(self, order, dim, density, kind):
+        rng = np.random.default_rng(order * 100 + dim)
+        data = random_tensor(rng, order, dim, density=density).data.copy()
+        if kind != "complex":
+            real = rng.uniform(size=data.shape) < (0.5 if kind == "mixed" else 1.0)
+            data[real] = data[real].real
+        doc = tensor_to_dict(Tensor(data), format="sparse")
+        assert len(doc["entries"]) == np.count_nonzero(data)
+        assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert _dumps(doc["entries"]) == json.dumps(doc["entries"], indent=2, allow_nan=False) + "\n"
+
+    def test_keys_with_format_characters(self):
+        records = [{"%s": i, "a%%d": [i, 2.5], '"|%': [[1.0, i]] if i % 2 else []} for i in range(40)]
+        assert _dumps(records) == json.dumps(records, indent=2) + "\n"
+        records = [{"%s": [i, -0.0], "%": 1e22 * i} for i in range(40)]
+        assert _dumps(records) == json.dumps(records, indent=2) + "\n"
+
+    @given(record_lists())
+    def test_records_are_json_dumps(self, records):
+        for doc in (records, {"order": 3, "entries": records}):
+            assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @given(record_lists(), st.integers(0), non_finite)
+    def test_non_finite_number_raises(self, records, where, bad):
+        entry = records[where % len(records)]
+        key = list(entry)[where % len(entry)]
+        entry[key] = [bad] if isinstance(entry[key], list) else bad
+        with pytest.raises(ValueError):
+            _dumps({"entries": records})
+
+    def test_entries_are_not_encoded_one_by_one(self, monkeypatch):
+        calls = []
+
+        class Spy:
+            def encode(self, obj):
+                calls.append(obj)
+                return _PRETTY.encode(obj)
+
+        doc = tensor_to_dict(random_tensor(np.random.default_rng(3), 3, 5, density=0.4), format="sparse")
+        monkeypatch.setattr("tensim.io._PRETTY", Spy())
+        assert _dumps(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        assert not [obj for obj in calls if isinstance(obj, (list, dict))]
+
+
 # ---------------------------------------------------------------------------
 # The dense decoder: every scalar as complex(x) or complex(re, im)
 # ---------------------------------------------------------------------------
